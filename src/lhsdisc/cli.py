@@ -13,12 +13,13 @@ import sys
 from . import harness, probtools, witness
 from .discrepancy import (
     BudgetExceeded,
+    DimensionMismatch,
     star_discrepancy_exact,
     star_discrepancy_exact_2d,
     star_discrepancy_lower_estimate,
 )
 from .points import ParseError, PointSetError, read_pointset, write_pointset
-from .probtools import DomainError, HypothesisNotMet, InvariantViolated
+from .probtools import DepthExceeded, DomainError, HypothesisNotMet, InvariantViolated
 from .rng import Stream, derive
 from .sampling import lhs_sample, uniform_sample
 from .witness import NoAdmissibleC, PreconditionViolated
@@ -30,11 +31,21 @@ USAGE_ERRORS = (
     PreconditionViolated,
     HypothesisNotMet,
     DomainError,
+    DepthExceeded,
     InvariantViolated,
     BudgetExceeded,
+    DimensionMismatch,
     harness.ConfigError,
-    ValueError,
+    harness.NoData,
+    UnicodeDecodeError,  # an input file that is not UTF-8 text
 )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _f17(x: float) -> str:
@@ -182,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="generate a point set (pointset v1 text)",
                        epilog=pointset_help)
     p.add_argument("--kind", choices=("lhs", "uniform"), required=True)
-    p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--d", type=int, required=True, help="dimension")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of points")
+    p.add_argument("--d", type=_positive_int, required=True, help="dimension")
     p.add_argument("--seed", type=int, required=True,
                    help="64-bit seed; required, no wall-clock default")
     p.add_argument("--out", required=True, help="output path, '-' for stdout")
@@ -193,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=pointset_help)
     p.add_argument("--in", dest="infile", required=True, help="pointset path, '-' for stdin")
     p.add_argument("--method", choices=("exact", "exact2d", "estimate"), default="exact")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="exact: grid-evaluation guard (default 1e9); "
                    "estimate: number of random boxes (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="seed for estimate (default 0)")
@@ -227,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_prob)
 
     q = psub.add_parser("lemma6", help="CDF dominance for dependent Bernoulli sums")
-    q.add_argument("--depth", type=int, required=True, help="maximum tree depth")
+    q.add_argument("--depth", type=_positive_int, required=True, help="maximum tree depth")
     q.add_argument("--q", type=float, required=True, help="conditional floor")
-    q.add_argument("--trees", type=int, default=1)
+    q.add_argument("--trees", type=_positive_int, default=1)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_prob)
 

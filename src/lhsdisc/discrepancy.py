@@ -9,6 +9,20 @@ limit from above of boxes shrinking onto a grid point, realized by closed
 counting (x <= y).  Evaluating both sides on the grid therefore gives the
 exact supremum with no epsilon perturbation anywhere; coordinates are
 exact binary64 values and strict/non-strict comparisons are well defined.
+
+One exact kernel serves every dimension.  It recurses depth-first over all
+axes but the last two, keeping the points that survive each prefix of
+corner values (open: x < y, closed: x <= y).  Under each prefix the last two
+axes form a table of corners whose counts are 2-D prefix counts of the
+survivors; the table is built and scored in blocks of about 16k cells
+(at least one row), so it takes O(N) memory rather than O(N^2) (d = 1 is
+a table of one row).  Each corner's value is computed with the same
+binary64 operations in the same order as a direct evaluation: volume
+((1*a)*b)*c, then count/N - volume and volume - count/N.  Corners are
+visited in lexicographic order and the best value is replaced only by a
+strictly larger one, so the reported box is the lexicographically
+smallest maximizer; it is closed-sided when its closed surplus is at
+least its open deficiency.
 """
 
 from __future__ import annotations
@@ -115,123 +129,156 @@ def _grids(coords: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-class _Best:
-    __slots__ = ("value", "upper", "closed")
+#: Cells per block of the prefix-count table (a block is at least one row).
+#: With rows of up to this many cells the block buffers (closed counts, open
+#: counts and volumes, float64) take 384 KiB, and a block's few dozen numpy
+#: calls are spread over enough cells.
+_BLOCK_CELLS = 16384
 
-    def __init__(self) -> None:
+
+class _ExactKernel:
+    """One exact computation: prefixes of the leading axes, then a table.
+
+    A table row holds the closed counts of the row's corners, then their
+    open counts.  A point is kept as the flat index of the cell from which
+    on it counts: closed from its own grid index on each of the last two
+    axes, open from the next one.  A block of rows is ``carry`` (per column,
+    the survivors in the rows above the block) plus the block's own
+    survivors, cumulated down the rows and then across the columns.
+    """
+
+    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
+        self.coords = coords
+        self.grids = grids
+        self.n = coords.shape[0]
+        self.grid_u, self.grid_v = grids[-2], grids[-1]
+        n_rows, n_cols = len(self.grid_u), len(self.grid_v)
+        self.width = 2 * n_cols
+        block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
+        self.edges = list(range(0, n_rows, block_rows)) + [n_rows]
+        u, v = coords[:, -2], coords[:, -1]
+        self.closed_cells = (np.searchsorted(self.grid_u, u, "left") * self.width
+                             + np.searchsorted(self.grid_v, v, "left"))
+        open_rows = np.searchsorted(self.grid_u, u, "right")
+        open_cols = np.searchsorted(self.grid_v, v, "right")
+        self.open_cells = open_rows * self.width + n_cols + open_cols
+        # An open cell past the table (a coordinate equal to 1) never counts.
+        self.open_points = np.flatnonzero((open_rows < n_rows) & (open_cols < n_cols))
+        self.counts = np.empty((block_rows, 2, n_cols))
+        self.vols = np.empty((block_rows, n_cols))
+        self.carry = np.empty(self.width)
+        self.hit = np.empty(self.width, dtype=bool)
         self.value = -np.inf
-        self.upper: list[float] | None = None
+        self.upper: list[float] = []
         self.closed = False
 
+    def run(self) -> None:
+        self._prefixes(0, self.open_points, np.arange(self.n), 1.0, [])
 
-def _scan_last_axis(
-    n_points: int,
-    grid: np.ndarray,
-    open_vals: np.ndarray,
-    closed_vals: np.ndarray,
-    vol_prefix: float,
-    prefix: list[float],
-    best: _Best,
-) -> None:
-    open_sorted = np.sort(open_vals)
-    closed_sorted = np.sort(closed_vals)
-    cnt_open = np.searchsorted(open_sorted, grid, side="left")
-    cnt_closed = np.searchsorted(closed_sorted, grid, side="right")
-    vols = vol_prefix * grid
-    d_plus = cnt_closed / n_points - vols
-    d_minus = vols - cnt_open / n_points
-    cand = np.where(d_plus >= d_minus, d_plus, d_minus)
-    i = int(np.argmax(cand))
-    if cand[i] > best.value:
-        best.value = float(cand[i])
-        best.upper = prefix + [float(grid[i])]
-        best.closed = bool(d_plus[i] >= d_minus[i])
+    def _prefixes(self, axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
+                  vol_prefix: float, prefix: list[float]) -> None:
+        if axis == len(self.grids) - 2:
+            self._table(open_idx, closed_idx, vol_prefix, prefix)
+            return
+        open_col = self.coords[open_idx, axis]
+        closed_col = self.coords[closed_idx, axis]
+        for y in self.grids[axis]:
+            self._prefixes(axis + 1,
+                           open_idx[open_col < y],
+                           closed_idx[closed_col <= y],
+                           vol_prefix * y,
+                           prefix + [float(y)])
+
+    def _table(self, open_idx: np.ndarray, closed_idx: np.ndarray, vol_prefix: float,
+               prefix: list[float]) -> None:
+        cells = np.concatenate((self.closed_cells[closed_idx], self.open_cells[open_idx]))
+        cells.sort()
+        cuts = np.searchsorted(cells, [r * self.width for r in self.edges]).tolist()
+        n, grid_u, grid_v = self.n, self.grid_u, self.grid_v
+        row_vol = vol_prefix * grid_u
+        self.carry.fill(0.0)
+        for r0, r1, lo, hi in zip(self.edges, self.edges[1:], cuts, cuts[1:]):
+            m = r1 - r0
+            counts = self.counts[:m]
+            self._cumulate(counts.reshape(m, -1), cells[lo:hi] - r0 * self.width)
+            np.cumsum(counts, axis=2, out=counts)
+            np.divide(counts, n, out=counts)
+            d_plus = counts[:, 0]
+            d_minus = counts[:, 1]
+            vols = self.vols[:m]
+            np.multiply(row_vol[r0:r1, None], grid_v, out=vols)
+            np.subtract(d_plus, vols, out=d_plus)
+            np.subtract(vols, d_minus, out=d_minus)
+            cand = np.maximum(d_plus, d_minus, out=vols).reshape(-1)
+            i = int(cand.argmax())
+            if cand[i] > self.value:
+                r, c = divmod(i, len(grid_v))
+                self.value = float(cand[i])
+                self.upper = prefix + [float(grid_u[r0 + r]), float(grid_v[c])]
+                self.closed = bool(d_plus[r, c] >= d_minus[r, c])
+
+    def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
+        """Carry plus the block's points (flat cells), cumulated down the rows."""
+        np.copyto(block, self.carry)
+        if cells.size:
+            rows, cols = np.divmod(cells, self.width)
+            # Only the columns that hold points change down the rows.
+            self.hit.fill(False)
+            self.hit[cols] = True
+            hit = np.flatnonzero(self.hit)
+            steps = np.zeros((block.shape[0], hit.size))
+            np.add.at(steps, (rows, np.searchsorted(hit, cols)), 1.0)
+            steps[0] += self.carry[hit]
+            block[:, hit] = np.cumsum(steps, axis=0, out=steps)
+        self.carry[:] = block[-1]
 
 
-def star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCertificate:
-    """Exact star discrepancy via critical-grid enumeration.
-
-    Depth-first over the axes with per-prefix filtering of the surviving
-    points, so the innermost axis costs O(survivors).  The scan visits
-    grid corners in lexicographic order and updates only on strictly
-    larger values, which makes the reported argmax the lexicographically
-    smallest maximizer.  Raises BudgetExceeded (reporting the required
-    grid size) before doing any work if the grid is too large.
-    """
+def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
+    """The exact kernel behind both public entry points; ``None`` is no budget."""
     coords = ps.coords
     n, d = coords.shape
     grids = _grids(coords)
     required = 1
     for g in grids:
         required *= len(g)
-    if required > budget:
+    if budget is not None and required > budget:
         raise BudgetExceeded(required, budget)
+    if d == 1:
+        # A leading axis with the single grid value 1, below which every
+        # point lies, changes no count and no volume (1 * a == a): d = 1 is
+        # a table of one row.
+        coords = np.column_stack((np.zeros(n), coords))
+        grids.insert(0, np.ones(1))
+    kernel = _ExactKernel(coords, grids)
+    kernel.run()
+    return DiscrepancyCertificate(kernel.value, AnchoredBox(np.array(kernel.upper[-d:])),
+                                  kernel.closed)
 
-    best = _Best()
 
-    def recurse(axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
-                vol_prefix: float, prefix: list[float]) -> None:
-        if axis == d - 1:
-            _scan_last_axis(n, grids[axis], coords[open_idx, axis],
-                            coords[closed_idx, axis], vol_prefix, prefix, best)
-            return
-        open_col = coords[open_idx, axis]
-        closed_col = coords[closed_idx, axis]
-        for y in grids[axis]:
-            recurse(axis + 1,
-                    open_idx[open_col < y],
-                    closed_idx[closed_col <= y],
-                    vol_prefix * y,
-                    prefix + [float(y)])
+def star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCertificate:
+    """Exact star discrepancy via critical-grid enumeration.
 
-    all_idx = np.arange(n)
-    recurse(0, all_idx, all_idx, 1.0, [])
-    assert best.upper is not None
-    return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
+    Depth-first over all axes but the last two, filtering the points that
+    survive each prefix; the last two axes are a table of 2-D prefix counts
+    of the survivors, built and scored in blocks of about 16k corners, so
+    memory is O(N), not O(N^2).  Ties go to the lexicographically smallest
+    corner, and the side is closed when the closed surplus is at least the
+    open deficiency there.  Raises BudgetExceeded (reporting the required
+    grid size) before doing any work if the grid is too large.
+    """
+    return _exact(ps, budget)
 
 
 def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
-    """Exact star discrepancy in dimension 2, O(N^2) time and O(N) memory.
+    """Exact star discrepancy in dimension 2 with no grid budget.
 
-    Sweeps the first-axis grid in ascending order while keeping the
-    second coordinates of the points passed so far in a sorted buffer;
-    open/closed counts for the whole second-axis grid come from two
-    binary searches per sweep step.  Produces the same candidate values
-    and scan order as the generic algorithm, hence bit-equal results.
+    The same kernel as star_discrepancy_exact, so results are bit-equal;
+    kept as its own entry point (and method name) for d = 2 without a
+    budget guard.
     """
     if ps.dim != 2:
         raise DimensionMismatch(f"specialization requires dim 2, got {ps.dim}")
-    coords = ps.coords
-    n = ps.n_points
-    gx, gy = _grids(coords)
-
-    order = np.argsort(coords[:, 0], kind="stable")
-    xs = coords[order, 0]
-    ys = coords[order, 1]
-
-    buf = np.empty(0, dtype=np.float64)  # sorted y's of points with x <= current a
-    ptr = 0
-    best = _Best()
-    for a in gx:
-        cnt_open = np.searchsorted(buf, gy, side="left")  # buffer holds x < a here
-        start = ptr
-        while ptr < n and xs[ptr] == a:
-            ptr += 1
-        if ptr > start:
-            batch = np.sort(ys[start:ptr])
-            buf = np.insert(buf, np.searchsorted(buf, batch), batch)
-        cnt_closed = np.searchsorted(buf, gy, side="right")  # buffer now holds x <= a
-        vols = a * gy
-        d_plus = cnt_closed / n - vols
-        d_minus = vols - cnt_open / n
-        cand = np.where(d_plus >= d_minus, d_plus, d_minus)
-        i = int(np.argmax(cand))
-        if cand[i] > best.value:
-            best.value = float(cand[i])
-            best.upper = [float(a), float(gy[i])]
-            best.closed = bool(d_plus[i] >= d_minus[i])
-    assert best.upper is not None
-    return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
+    return _exact(ps, None)
 
 
 def _candidate_value(ps: PointSet, box: AnchoredBox) -> tuple[float, bool]:

@@ -181,7 +181,13 @@ def _measure_dstar(ps, config: ExperimentConfig, trial_seed: int, extra_boxes):
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
-    """Run all trials; per-trial failures are recorded, never fatal."""
+    """Run all trials, recording the expected per-trial failures.
+
+    A slab constant that cannot be computed (NoAdmissibleC,
+    PreconditionViolated) and an exact grid over budget (BudgetExceeded) are
+    recorded in each affected trial's ``error``; any other exception
+    propagates.
+    """
     slab = None
     slab_error: str | None = None
     if config.d >= 2:

@@ -301,7 +301,7 @@ class ConditionalBernoulliTree:
 
     def __init__(self, levels: Sequence[np.ndarray], q_floor: float):
         if not 0.0 < q_floor < 1.0:
-            raise ValueError(f"q_floor must lie in (0, 1), got {q_floor}")
+            raise DomainError(f"q_floor must lie in (0, 1), got {q_floor}")
         if len(levels) > self.MAX_DEPTH:
             raise DepthExceeded(f"depth {len(levels)} exceeds guard {self.MAX_DEPTH}")
         self.levels = []

@@ -5,6 +5,12 @@ discrepancy maximum enumerates boxes on a fixed uniform lattice, and the
 probability oracles work in exact rational arithmetic (Fraction over
 math.comb).  They exist to certify the fast implementations, so they are
 kept simple even where that costs speed.
+
+The two reference exact kernels are the library's earlier implementations,
+kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
+last axis, and the O(N^2) two-dimensional insertion sweep.  The blocked
+prefix-count kernel that replaced them must agree with them bit for bit
+(value, argmax box and side).
 """
 
 from __future__ import annotations
@@ -14,6 +20,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from lhsdisc.discrepancy import (
+    AnchoredBox,
+    BudgetExceeded,
+    DimensionMismatch,
+    DiscrepancyCertificate,
+)
+from lhsdisc.points import PointSet
 
 
 def dense_grid_star_discrepancy(coords: np.ndarray, m: int = 400) -> float:
@@ -70,6 +84,134 @@ def brute_force_lattice_max(coords: np.ndarray, m: int) -> float:
                 count += 1
         best = max(best, abs(count / n - vol))
     return best
+
+
+def _grids(coords: np.ndarray) -> list[np.ndarray]:
+    # Distinct coordinates per axis plus 1; 0 enters only as a coordinate.
+    out = []
+    for j in range(coords.shape[1]):
+        vals = np.unique(coords[:, j])
+        out.append(np.append(vals, 1.0))
+    return out
+
+
+class _Best:
+    __slots__ = ("value", "upper", "closed")
+
+    def __init__(self) -> None:
+        self.value = -np.inf
+        self.upper: list[float] | None = None
+        self.closed = False
+
+
+def _scan_last_axis(
+    n_points: int,
+    grid: np.ndarray,
+    open_vals: np.ndarray,
+    closed_vals: np.ndarray,
+    vol_prefix: float,
+    prefix: list[float],
+    best: _Best,
+) -> None:
+    open_sorted = np.sort(open_vals)
+    closed_sorted = np.sort(closed_vals)
+    cnt_open = np.searchsorted(open_sorted, grid, side="left")
+    cnt_closed = np.searchsorted(closed_sorted, grid, side="right")
+    vols = vol_prefix * grid
+    d_plus = cnt_closed / n_points - vols
+    d_minus = vols - cnt_open / n_points
+    cand = np.where(d_plus >= d_minus, d_plus, d_minus)
+    i = int(np.argmax(cand))
+    if cand[i] > best.value:
+        best.value = float(cand[i])
+        best.upper = prefix + [float(grid[i])]
+        best.closed = bool(d_plus[i] >= d_minus[i])
+
+
+def reference_star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCertificate:
+    """Exact star discrepancy via critical-grid enumeration.
+
+    Depth-first over the axes with per-prefix filtering of the surviving
+    points, so the innermost axis costs O(survivors).  The scan visits
+    grid corners in lexicographic order and updates only on strictly
+    larger values, which makes the reported argmax the lexicographically
+    smallest maximizer.  Raises BudgetExceeded (reporting the required
+    grid size) before doing any work if the grid is too large.
+    """
+    coords = ps.coords
+    n, d = coords.shape
+    grids = _grids(coords)
+    required = 1
+    for g in grids:
+        required *= len(g)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+    best = _Best()
+
+    def recurse(axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
+                vol_prefix: float, prefix: list[float]) -> None:
+        if axis == d - 1:
+            _scan_last_axis(n, grids[axis], coords[open_idx, axis],
+                            coords[closed_idx, axis], vol_prefix, prefix, best)
+            return
+        open_col = coords[open_idx, axis]
+        closed_col = coords[closed_idx, axis]
+        for y in grids[axis]:
+            recurse(axis + 1,
+                    open_idx[open_col < y],
+                    closed_idx[closed_col <= y],
+                    vol_prefix * y,
+                    prefix + [float(y)])
+
+    all_idx = np.arange(n)
+    recurse(0, all_idx, all_idx, 1.0, [])
+    assert best.upper is not None
+    return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
+
+
+def reference_star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
+    """Exact star discrepancy in dimension 2, O(N^2) time and O(N) memory.
+
+    Sweeps the first-axis grid in ascending order while keeping the
+    second coordinates of the points passed so far in a sorted buffer;
+    open/closed counts for the whole second-axis grid come from two
+    binary searches per sweep step.  Produces the same candidate values
+    and scan order as the generic algorithm, hence bit-equal results.
+    """
+    if ps.dim != 2:
+        raise DimensionMismatch(f"specialization requires dim 2, got {ps.dim}")
+    coords = ps.coords
+    n = ps.n_points
+    gx, gy = _grids(coords)
+
+    order = np.argsort(coords[:, 0], kind="stable")
+    xs = coords[order, 0]
+    ys = coords[order, 1]
+
+    buf = np.empty(0, dtype=np.float64)  # sorted y's of points with x <= current a
+    ptr = 0
+    best = _Best()
+    for a in gx:
+        cnt_open = np.searchsorted(buf, gy, side="left")  # buffer holds x < a here
+        start = ptr
+        while ptr < n and xs[ptr] == a:
+            ptr += 1
+        if ptr > start:
+            batch = np.sort(ys[start:ptr])
+            buf = np.insert(buf, np.searchsorted(buf, batch), batch)
+        cnt_closed = np.searchsorted(buf, gy, side="right")  # buffer now holds x <= a
+        vols = a * gy
+        d_plus = cnt_closed / n - vols
+        d_minus = vols - cnt_open / n
+        cand = np.where(d_plus >= d_minus, d_plus, d_minus)
+        i = int(np.argmax(cand))
+        if cand[i] > best.value:
+            best.value = float(cand[i])
+            best.upper = [float(a), float(gy[i])]
+            best.closed = bool(d_plus[i] >= d_minus[i])
+    assert best.upper is not None
+    return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
 
 
 def binom_pmf_frac(n: int, p: Fraction, k: int) -> Fraction:

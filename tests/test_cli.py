@@ -68,6 +68,60 @@ def test_stardisc_budget_guard(tmp_path):
                 "--budget", "100"]) == 2
 
 
+@pytest.mark.parametrize("method", ["exact", "estimate"])
+def test_stardisc_budget_below_one_exit_2(tmp_path, capsys, method):
+    out = tmp_path / "p.txt"
+    run(["sample", "--kind", "lhs", "--n", "8", "--d", "2", "--seed", "1",
+         "--out", str(out)])
+    with pytest.raises(SystemExit) as err:
+        run(["stardisc", "--in", str(out), "--method", method, "--budget", "0"])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--kind", "lhs", "--n", "0", "--d", "2", "--seed", "1", "--out", "-"],
+    ["sample", "--kind", "lhs", "--n", "4", "--d", "0", "--seed", "1", "--out", "-"],
+    ["prob", "lemma6", "--depth", "0", "--q", "0.0125"],
+    ["prob", "lemma6", "--depth", "4", "--q", "0.0125", "--trees", "0"],
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+
+
+def test_prob_lemma6_floor_outside_unit_interval_exit_2(capsys):
+    assert run(["prob", "lemma6", "--depth", "4", "--q", "1.5"]) == 2
+    assert "q_floor" in capsys.readouterr().err
+
+
+def test_prob_lemma6_depth_over_guard_exit_2(capsys):
+    # Seed 6 draws the largest depth for the first tree: 21 > MAX_DEPTH.
+    assert run(["prob", "lemma6", "--depth", "21", "--q", "0.0125", "--seed", "6"]) == 2
+    assert "exceeds guard" in capsys.readouterr().err
+
+
+def test_stardisc_input_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"# pointset v1\n1 1\n\xff\xfe\n")
+    assert run(["stardisc", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unexpected_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    out = tmp_path / "p.txt"
+    run(["sample", "--kind", "lhs", "--n", "8", "--d", "2", "--seed", "1",
+         "--out", str(out)])
+
+    def broken_kernel(*args, **kwargs):
+        raise ValueError("bug inside the kernel")
+
+    monkeypatch.setattr("lhsdisc.cli.star_discrepancy_exact", broken_kernel)
+    with pytest.raises(ValueError, match="bug inside the kernel"):
+        run(["stardisc", "--in", str(out), "--method", "exact"])
+
+
 def test_witness_strict_gate_exit_2(tmp_path, capsys):
     out = tmp_path / "p.txt"
     run(["sample", "--kind", "lhs", "--n", "64", "--d", "2", "--seed", "5",
@@ -132,6 +186,18 @@ def test_experiment_bad_config_exit_2(tmp_path):
     assert run(["experiment", "--config", str(config),
                 "--out-records", str(tmp_path / "r.csv"),
                 "--out-summary", str(tmp_path / "s.json")]) == 2
+
+
+def test_experiment_without_any_result_exit_2(tmp_path, capsys):
+    # Every trial is over the exact budget (201^4 corners) and the strict
+    # witness needs N >= 6400: nothing to summarize.
+    config = tmp_path / "exp.cfg"
+    config.write_text(CONFIG.replace("N = 64", "N = 200").replace("d = 2", "d = 4")
+                      .replace("trials = 3", "trials = 1"))
+    assert run(["experiment", "--config", str(config),
+                "--out-records", str(tmp_path / "r.csv"),
+                "--out-summary", str(tmp_path / "s.json")]) == 2
+    assert "no successful trial" in capsys.readouterr().err
 
 
 def test_help_runs(capsys):

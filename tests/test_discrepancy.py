@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhsdisc import discrepancy
 from lhsdisc.discrepancy import (
     AnchoredBox,
     BudgetExceeded,
@@ -20,7 +23,11 @@ from lhsdisc.points import PointSet
 from lhsdisc.rng import Stream, derive
 from lhsdisc.sampling import lhs_sample, uniform_sample
 
-from oracles import dense_grid_star_discrepancy
+from oracles import (
+    dense_grid_star_discrepancy,
+    reference_star_discrepancy_exact,
+    reference_star_discrepancy_exact_2d,
+)
 
 
 def pset(*rows):
@@ -182,6 +189,128 @@ class TestExact2D:
         b = star_discrepancy_exact_2d(ps)
         assert (a.value, a.closed_sided) == (b.value, b.closed_sided)
         assert np.array_equal(a.argmax_box.upper, b.argmax_box.upper)
+
+
+def assert_bit_equal(cert, ref):
+    assert np.float64(cert.value).tobytes() == np.float64(ref.value).tobytes()
+    assert cert.argmax_box.upper.tobytes() == ref.argmax_box.upper.tobytes()
+    assert cert.closed_sided is ref.closed_sided
+
+
+def check_against_replaced_kernels(ps):
+    cert = star_discrepancy_exact(ps)
+    assert_bit_equal(cert, reference_star_discrepancy_exact(ps))
+    if ps.dim == 2:
+        cert_2d = star_discrepancy_exact_2d(ps)
+        assert_bit_equal(cert_2d, reference_star_discrepancy_exact_2d(ps))
+        assert_bit_equal(cert_2d, cert)
+
+
+def lattice_pointset(stream, n, d, m):
+    # Coordinates on {0, 1/m, ..., (m-1)/m}: ties on every axis and, for
+    # small m, duplicate points.
+    return PointSet(np.array([stream.randbelow(m) for _ in range(n * d)],
+                             dtype=np.float64).reshape(n, d) / m)
+
+
+class TestAgainstReplacedKernels:
+    """Bit-equality (value, box, side) with the kernels the table replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_samples(self, sampler, d):
+        for n in (1, 2, 3, 7, 16, 33 if d < 4 else 12):
+            for seed in range(3):
+                check_against_replaced_kernels(sampler(n, d, derive(derive(d, n), seed)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_coarse_lattice_ties_and_duplicates(self, d):
+        stream = Stream(derive(77, f"lattice-{d}"))
+        for m in (1, 2, 3, 5, 8):
+            for n in (1, 4, 9, 24):
+                check_against_replaced_kernels(lattice_pointset(stream, n, d, m))
+
+    def test_coordinates_equal_to_one(self):
+        # PointSet does not reject 1.0; such a point counts closed on the
+        # last grid value and never open.
+        ps = pset([1.0, 0.5], [0.25, 1.0], [1.0, 1.0], [0.5, 0.25])
+        check_against_replaced_kernels(ps)
+        check_against_replaced_kernels(PointSet(ps.coords[:, :1]))
+        check_against_replaced_kernels(PointSet(np.hstack([ps.coords, ps.coords[:, :1]])))
+
+    def test_2d_table_of_many_row_blocks(self):
+        # 3201 x 3201 corners: several hundred blocks of rows.
+        ps = lhs_sample(3200, 2, seed=derive(78, "blocks-2d"))
+        assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
+        assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact_2d(ps))
+
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_3d_tables_of_several_row_blocks(self, sampler):
+        # 141 x 141 corners per table: two blocks of rows.
+        ps = sampler(140, 3, derive(79, "blocks-3d"))
+        assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact(ps))
+
+    @pytest.mark.parametrize("n,d", [(2000, 2), (300, 3)])
+    def test_lattice_tables_of_several_row_blocks(self, n, d):
+        # 151 x 151 corners per table, two blocks of rows, and ties on the
+        # last axis across the blocks.
+        ps = lattice_pointset(Stream(derive(81, f"blocks-lattice-{d}")), n, d, 150)
+        check_against_replaced_kernels(ps)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_sets_property(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 12))
+        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                          st.floats(0.0, 1.0, exclude_max=True))
+        coords = data.draw(st.lists(value, min_size=n * d, max_size=n * d))
+        check_against_replaced_kernels(PointSet(np.array(coords).reshape(n, d)))
+
+
+class TestKernelSharing:
+    def test_2d_entry_point_applies_no_budget(self, monkeypatch):
+        seen = []
+        real = discrepancy._exact
+
+        def spy(ps, budget):
+            seen.append(budget)
+            return real(ps, budget)
+
+        monkeypatch.setattr(discrepancy, "_exact", spy)
+        star_discrepancy_exact_2d(pset([0.5, 0.5]))
+        star_discrepancy_exact(pset([0.5, 0.5]))
+        assert seen == [None, 10**9]
+
+    def test_entry_points_do_not_call_each_other(self, monkeypatch):
+        ps = pset([0.25, 0.5], [0.75, 0.125])
+        expected_2d = star_discrepancy_exact_2d(ps)
+        expected = star_discrepancy_exact(ps)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("entry point called another entry point")
+
+        monkeypatch.setattr(discrepancy, "star_discrepancy_exact", forbidden)
+        assert_bit_equal(discrepancy.star_discrepancy_exact_2d(ps), expected_2d)
+        monkeypatch.undo()
+        monkeypatch.setattr(discrepancy, "star_discrepancy_exact_2d", forbidden)
+        assert_bit_equal(discrepancy.star_discrepancy_exact(ps), expected)
+
+    def test_table_memory_is_bounded_and_released(self):
+        # The paper's d = 2, N = 3200 call: an unblocked 3201 x 3201 table
+        # would take about 78 MiB.  Nothing of the table may outlive the
+        # call, not even until the next garbage collection.
+        ps = lhs_sample(3200, 2, seed=derive(80, "memory"))
+        star_discrepancy_exact(pset([0.5, 0.5]))  # first-call imports
+        for kernel in (star_discrepancy_exact_2d, star_discrepancy_exact):
+            tracemalloc.start()
+            try:
+                kernel(ps)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert current < 1 << 16
 
 
 class TestLowerEstimate:
