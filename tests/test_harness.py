@@ -230,6 +230,48 @@ class TestEmit:
         assert "3" in payload["per_c"]
         assert payload["per_c"]["3"]["threshold"] == pytest.approx(3 * math.sqrt(2 / 3200))
 
+    def test_artifact_bytes_pinned(self):
+        # N = 160 admits a non-strict slab constant (k = 1), so every
+        # deterministic column is filled; c = 1 has no tail reference and
+        # c = 3 has one.
+        config = small_config(N=160, trials=3, strict_witness=False)
+        records = run_trials(config)
+        assert emit_csv(records) == (
+            "trial,seed,dstar,method,witness_bound,k_count,runtime_ms\n"
+            "0,4543630709867271855,0.046732036256787721,exact,0,0,\n"
+            "1,9755870440102326128,0.040500527200427128,exact,0.0015625000000000001,1,\n"
+            "2,16598938683728881325,0.058912434452360107,exact,0,0,\n"
+        )
+        assert emit_json(summarize(records, config)) == """\
+{
+  "n_trials": 3,
+  "n_ok": 3,
+  "dstar_mean": 0.048714999303191654,
+  "dstar_se": 0.00540674544730926,
+  "k_mean": 0.3333333333333333,
+  "k_reference": 0.0125,
+  "witness_mean": 0.0005208333333333333,
+  "witness_se": 0.0005208333333333334,
+  "witness_reference": 1.7143774970490224e-05,
+  "freq_k_below": 0.6666666666666666,
+  "k_below_reference": 0.9875,
+  "per_c": {
+    "1": {
+      "c": 1.0,
+      "threshold": 0.11180339887498948,
+      "frequency": 1.0,
+      "reference": null
+    },
+    "3": {
+      "c": 3.0,
+      "threshold": 0.33541019662496846,
+      "frequency": 1.0,
+      "reference": 0.9987999595326919
+    }
+  }
+}
+"""
+
     def test_summary_csv_has_header(self):
         config = small_config(N=3200, d=2, trials=2, method="estimate")
         summary = summarize(run_trials(config), config)
