@@ -113,7 +113,7 @@ def cmd_witness(args) -> int:
     print(f"d = {trace.dim}")
     print(f"k_int = {sc.k_int}")
     print(f"c = {_f17(sc.c)}")
-    print(f"n_slab = {sc.n_slab}")
+    print(f"n_slab = {sc.k_int}")
     print(f"stripe_upper = {_f17(trace.stripe_upper)}")
     print(f"stripe_count = {trace.stripe_count}")
     print(f"stripe_excess = {_f17(trace.stripe_excess)}")
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="generate a point set (pointset v1 text)",
                        epilog=pointset_help)
-    p.add_argument("--kind", choices=("lhs", "uniform"), required=True)
+    p.add_argument("--kind", choices=harness.KINDS, required=True)
     p.add_argument("--n", type=_positive_int, required=True, help="number of points")
     p.add_argument("--d", type=_positive_int, required=True, help="dimension")
     p.add_argument("--seed", type=int, required=True,
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stardisc", help="star discrepancy of a point set",
                        epilog=pointset_help)
     p.add_argument("--in", dest="infile", required=True, help="pointset path, '-' for stdin")
-    p.add_argument("--method", choices=("exact", "exact2d", "estimate"), default="exact")
+    p.add_argument("--method", choices=harness.METHODS, default="exact")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="exact: grid-evaluation guard (default 1e9); "
                    "estimate: number of random boxes (default 1000)")

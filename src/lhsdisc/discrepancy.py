@@ -159,11 +159,8 @@ class _ExactKernel:
         u, v = coords[:, -2], coords[:, -1]
         self.closed_cells = (np.searchsorted(self.grid_u, u, "left") * self.width
                              + np.searchsorted(self.grid_v, v, "left"))
-        open_rows = np.searchsorted(self.grid_u, u, "right")
-        open_cols = np.searchsorted(self.grid_v, v, "right")
-        self.open_cells = open_rows * self.width + n_cols + open_cols
-        # An open cell past the table (a coordinate equal to 1) never counts.
-        self.open_points = np.flatnonzero((open_rows < n_rows) & (open_cols < n_cols))
+        self.open_cells = (np.searchsorted(self.grid_u, u, "right") * self.width + n_cols
+                           + np.searchsorted(self.grid_v, v, "right"))
         self.counts = np.empty((block_rows, 2, n_cols))
         self.vols = np.empty((block_rows, n_cols))
         self.carry = np.empty(self.width)
@@ -173,7 +170,8 @@ class _ExactKernel:
         self.closed = False
 
     def run(self) -> None:
-        self._prefixes(0, self.open_points, np.arange(self.n), 1.0, [])
+        every = np.arange(self.n)
+        self._prefixes(0, every, every, 1.0, [])
 
     def _prefixes(self, axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
                   vol_prefix: float, prefix: list[float]) -> None:

@@ -15,7 +15,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import discrepancy, witness
@@ -138,11 +138,12 @@ class CBoundSummary:
 
 @dataclass
 class Summary:
+    """Aggregate statistics; the field order is the key order of emit_json."""
+
     n_trials: int
     n_ok: int
     dstar_mean: float | None
     dstar_se: float | None
-    per_c: dict[str, CBoundSummary]
     k_mean: float | None
     k_reference: float | None
     witness_mean: float | None
@@ -150,6 +151,7 @@ class Summary:
     witness_reference: float | None
     freq_k_below: float | None
     k_below_reference: float | None
+    per_c: dict[str, CBoundSummary]
 
 
 def tail_reference(c: float, d: int) -> float | None:
@@ -275,7 +277,6 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Summa
         n_ok=n_ok,
         dstar_mean=dstar_mean,
         dstar_se=dstar_se,
-        per_c=per_c,
         k_mean=k_mean,
         k_reference=k_ref,
         witness_mean=witness_mean,
@@ -283,6 +284,7 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Summa
         witness_reference=witness_ref,
         freq_k_below=freq_k_below,
         k_below_reference=k_below_ref,
+        per_c=per_c,
     )
 
 
@@ -390,27 +392,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(records_or_summary, include_runtime: bool = False) -> str:
-    """Render records (fixed column order) or a summary (key,value rows).
+def emit_csv(records: Sequence[TrialRecord], include_runtime: bool = False) -> str:
+    """Render records in the fixed column order of CSV_COLUMNS.
 
     Runtimes are excluded by default so repeated runs of one config emit
     byte-identical files.
     """
-    if isinstance(records_or_summary, Summary):
-        lines = ["field,value"]
-
-        def flatten(prefix, value):
-            if isinstance(value, dict):
-                for sub, subval in value.items():
-                    flatten(f"{prefix}.{sub}" if prefix else str(sub), subval)
-            else:
-                lines.append(f"{prefix},{_fmt_json_scalar(value)}")
-
-        flatten("", _summary_dict(records_or_summary))
-        return "\n".join(lines) + "\n"
-
     lines = [",".join(CSV_COLUMNS)]
-    for r in records_or_summary:
+    for r in records:
         runtime = r.runtime_ms if include_runtime else None
         lines.append(",".join([
             str(r.trial), str(r.seed), _fmt(r.dstar), r.method or "",
@@ -419,54 +408,6 @@ def emit_csv(records_or_summary, include_runtime: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_json_scalar(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return value
-
-
-def _summary_dict(summary: Summary) -> dict:
-    return {
-        "n_trials": summary.n_trials,
-        "n_ok": summary.n_ok,
-        "dstar_mean": summary.dstar_mean,
-        "dstar_se": summary.dstar_se,
-        "k_mean": summary.k_mean,
-        "k_reference": summary.k_reference,
-        "witness_mean": summary.witness_mean,
-        "witness_se": summary.witness_se,
-        "witness_reference": summary.witness_reference,
-        "freq_k_below": summary.freq_k_below,
-        "k_below_reference": summary.k_below_reference,
-        "per_c": {
-            key: {
-                "c": entry.c,
-                "threshold": entry.threshold,
-                "frequency": entry.frequency,
-                "reference": entry.reference,
-            }
-            for key, entry in summary.per_c.items()
-        },
-    }
-
-
-def emit_json(records_or_summary, include_runtime: bool = False) -> str:
-    if isinstance(records_or_summary, Summary):
-        payload = _summary_dict(records_or_summary)
-    else:
-        payload = [
-            {
-                "trial": r.trial,
-                "seed": r.seed,
-                "dstar": r.dstar,
-                "method": r.method,
-                "witness_bound": r.witness_bound,
-                "k_count": r.k_count,
-                "runtime_ms": r.runtime_ms if include_runtime else None,
-                "error": r.error,
-            }
-            for r in records_or_summary
-        ]
-    return json.dumps(payload, indent=2) + "\n"
+def emit_json(summary: Summary) -> str:
+    """Render a summary as indented JSON, keys in Summary's field order."""
+    return json.dumps(asdict(summary), indent=2) + "\n"

@@ -41,7 +41,11 @@ class ParseError(PointSetError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """N points in [0,1)^d, stored as a read-only (N, d) float64 array."""
+    """N points in [0,1)^d, stored as a read-only (N, d) float64 array.
+
+    Construction runs validate_pointset, so an empty array and a coordinate
+    equal to 1.0, NaN or negative raise instead of reaching any kernel.
+    """
 
     coords: np.ndarray
 
@@ -51,6 +55,7 @@ class PointSet:
             raise ShapeMismatch(f"coords must be 2-dimensional, got ndim={arr.ndim}")
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
+        validate_pointset(self)
 
     @property
     def n_points(self) -> int:
@@ -157,9 +162,7 @@ def read_pointset(f: IO[str] | Iterable[str]) -> PointSet:
     if trailing is not None:
         raise ParseError(trailing[0], f"found more than the declared {n_points} data rows")
 
-    ps = PointSet.from_flat(n_points, dim, values)
-    validate_pointset(ps)
-    return ps
+    return PointSet.from_flat(n_points, dim, values)
 
 
 def pointset_from_text(text: str) -> PointSet:

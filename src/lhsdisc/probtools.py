@@ -155,15 +155,16 @@ def binom_cdf(n: int, p: float, k: int) -> float:
 
 
 def _hyper_support(n_total: int, n_white: int, n_draws: int) -> tuple[int, int]:
+    """Smallest and largest white count of H(N, W, n); checks the domain."""
+    if not (0 <= n_white <= n_total and 0 <= n_draws <= n_total):
+        raise DomainError(
+            f"hypergeometric law needs 0 <= W, n <= N, got N={n_total}, W={n_white}, n={n_draws}"
+        )
     return max(0, n_draws - (n_total - n_white)), min(n_draws, n_white)
 
 
 def hypergeom_pmf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
     """Mass of k white balls when drawing n without replacement from N with W white."""
-    if not (0 <= n_white <= n_total and 0 <= n_draws <= n_total):
-        raise DomainError(
-            f"hypergeom_pmf needs 0 <= W, n <= N, got N={n_total}, W={n_white}, n={n_draws}"
-        )
     lo, hi = _hyper_support(n_total, n_white, n_draws)
     if k < lo or k > hi:
         return 0.0

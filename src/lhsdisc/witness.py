@@ -62,10 +62,6 @@ class SlabConstant:
     c: float
     shrink_coord: float
 
-    @property
-    def n_slab(self) -> int:
-        return self.k_int
-
 
 @dataclass(frozen=True)
 class TheoryConstants:
@@ -103,12 +99,9 @@ class WitnessTrace:
     stripe_count: int
     stripe_excess: float
     steps: list[WitnessStep] = field(default_factory=list)
-    x_choices: list[float] = field(default_factory=list)
-    eta_bits: list[int] = field(default_factory=list)
     k_count: int = 0
     final_box: AnchoredBox | None = None
     final_excess: float = 0.0
-    lower_bound: float = 0.0
 
 
 def compute_slab_constant(n_points: int, dim: int, strict: bool = True) -> SlabConstant:
@@ -213,14 +206,11 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
                         threshold=threshold, eta=eta, x=x_j,
                         volume=volume, excess=exc_j)
         )
-        trace.x_choices.append(x_j)
-        trace.eta_bits.append(eta)
 
-    trace.k_count = sum(trace.eta_bits)
+    trace.k_count = sum(step.eta for step in trace.steps)
     trace.final_box = AnchoredBox(upper.copy())
     final_count = int(np.all(coords < upper, axis=1).sum())
     trace.final_excess = final_count - n * box_volume(trace.final_box)
-    trace.lower_bound = trace.final_excess / n
     return trace
 
 

@@ -177,7 +177,7 @@ def test_criterion_08_witness_internal_identities():
         ok &= trace.stripe_count == n // 4
         for step in trace.steps:
             in_slab = int((ps.coords[:, step.j - 1] >= sc.shrink_coord).sum())
-            ok &= in_slab == sc.n_slab
+            ok &= in_slab == sc.k_int
             ok &= step.excess >= -1e-9
         floor = 2.5 * math.sqrt(sc.c * tc.v**3) * trace.k_count * math.sqrt(n / d)
         ok &= trace.final_excess >= floor - 1e-9
@@ -200,7 +200,7 @@ def test_criterion_09_theorem2_statistics():
         trace = build_witness(lhs_sample(n, d, derive(0xACC * 9, s)), sc)
         ks[s] = trace.k_count
         bounds[s] = witness_lower_bound(trace)
-        etas[s] = trace.eta_bits
+        etas[s] = [step.eta for step in trace.steps]
     sigma_k = math.sqrt(0.25 / trials)
     ok &= ks.mean() >= (d - 1) / 80.0 - 3.0 * sigma_k
     w_ref = tc.expectation_const * math.sqrt((d - 1) / n)

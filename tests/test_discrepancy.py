@@ -230,14 +230,6 @@ class TestAgainstReplacedKernels:
             for n in (1, 4, 9, 24):
                 check_against_replaced_kernels(lattice_pointset(stream, n, d, m))
 
-    def test_coordinates_equal_to_one(self):
-        # PointSet does not reject 1.0; such a point counts closed on the
-        # last grid value and never open.
-        ps = pset([1.0, 0.5], [0.25, 1.0], [1.0, 1.0], [0.5, 0.25])
-        check_against_replaced_kernels(ps)
-        check_against_replaced_kernels(PointSet(ps.coords[:, :1]))
-        check_against_replaced_kernels(PointSet(np.hstack([ps.coords, ps.coords[:, :1]])))
-
     def test_2d_table_of_many_row_blocks(self):
         # 3201 x 3201 corners: several hundred blocks of rows.
         ps = lhs_sample(3200, 2, seed=derive(78, "blocks-2d"))

@@ -272,15 +272,3 @@ class TestEmit:
 }
 """
 
-    def test_summary_csv_has_header(self):
-        config = small_config(N=3200, d=2, trials=2, method="estimate")
-        summary = summarize(run_trials(config), config)
-        lines = emit_csv(summary).splitlines()
-        assert lines[0] == "field,value"
-        assert any(line.startswith("dstar_mean,") for line in lines)
-
-    def test_records_json(self):
-        records = [TrialRecord(trial=0, seed=1, dstar=0.5, method="exact")]
-        payload = json.loads(emit_json(records))
-        assert payload[0]["dstar"] == 0.5
-        assert payload[0]["runtime_ms"] is None

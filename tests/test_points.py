@@ -25,6 +25,8 @@ def test_validate_accepts_zero_coordinate():
 def test_validate_rejects_one():
     with pytest.raises(CoordinateOutOfRange):
         validate_pointset(PointSet.from_flat(1, 1, [1.0]))
+    with pytest.raises(CoordinateOutOfRange):
+        PointSet(np.array([[1.0]]))
 
 
 def test_validate_rejects_negative_and_nan():
@@ -32,6 +34,10 @@ def test_validate_rejects_negative_and_nan():
         validate_pointset(PointSet.from_flat(1, 1, [-1e-300]))
     with pytest.raises(CoordinateOutOfRange):
         validate_pointset(PointSet.from_flat(1, 1, [float("nan")]))
+    with pytest.raises(CoordinateOutOfRange):
+        PointSet(np.array([[-1e-300]]))
+    with pytest.raises(CoordinateOutOfRange):
+        PointSet(np.array([[float("nan")]]))
 
 
 def test_validate_error_names_first_offender():

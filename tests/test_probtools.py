@@ -110,6 +110,16 @@ class TestHypergeometric:
         with pytest.raises(DomainError):
             hypergeom_pmf(5, 6, 2, 1)
 
+    @pytest.mark.parametrize("args", [(5, 10, 3), (5, 3, 10), (5, -1, 3), (5, 3, -1)])
+    def test_domain_checked_by_every_function(self, args):
+        # W > N, n > N and negative counts have no hypergeometric law.
+        with pytest.raises(DomainError):
+            hypergeom_pmf(*args, 0)
+        with pytest.raises(DomainError):
+            hypergeom_cdf(*args, 0)
+        with pytest.raises(DomainError):
+            hypergeom_distribution(*args)
+
 
 class TestDistributionsAndTV:
     def test_distribution_mass_validated(self):

@@ -30,7 +30,6 @@ class TestSlabConstant:
         sc = compute_slab_constant(3200, 2)
         assert sc.k_int == 20 == largest_admissible_k(3200, 2)
         assert sc.c == 40 / 3200 == 0.0125
-        assert sc.n_slab == 20
 
     def test_n5040_d3(self):
         sc = compute_slab_constant(5040, 3)
@@ -100,7 +99,7 @@ class TestBuildWitness:
             assert trace.stripe_count == 3200 // 4
             for step in trace.steps:
                 in_slab = int((ps.coords[:, step.j - 1] >= sc.shrink_coord).sum())
-                assert in_slab == sc.n_slab
+                assert in_slab == sc.k_int
 
     def test_excess_recursion_identities(self):
         sc = compute_slab_constant(6400, 4)
@@ -127,7 +126,7 @@ class TestBuildWitness:
             for step in trace.steps:
                 assert tc.v - 1e-12 <= step.p <= 0.25 + 1e-12
                 assert tc.v - 1e-12 <= step.volume <= 0.25 + 1e-12
-                npq = sc.n_slab * step.p * (1 - step.p)
+                npq = sc.k_int * step.p * (1 - step.p)
                 assert npq >= 2.5 - 1e-9
 
     def test_final_excess_bound(self):
@@ -146,8 +145,7 @@ class TestBuildWitness:
         for step in trace.steps:
             assert step.eta == (1 if step.y_count <= step.threshold else 0)
             assert step.x == (sc.shrink_coord if step.eta else 1.0)
-        assert trace.k_count == sum(trace.eta_bits)
-        assert trace.x_choices == [s.x for s in trace.steps]
+        assert trace.k_count == sum(step.eta for step in trace.steps)
 
     def test_deterministic_pure_function(self):
         sc = compute_slab_constant(3200, 2)
@@ -155,7 +153,7 @@ class TestBuildWitness:
         t1 = build_witness(ps, sc)
         t2 = build_witness(ps, sc)
         assert t1.final_excess == t2.final_excess
-        assert t1.eta_bits == t2.eta_bits
+        assert t1.steps == t2.steps
 
     def test_lower_bound_vs_exact_2d(self):
         sc = compute_slab_constant(3200, 2)
@@ -236,6 +234,6 @@ class TestBuildWitness:
         for s in range(trials):
             trace = build_witness(lhs_sample(3200, 2, derive(123456, s)), sc)
             assert trace.steps[0].threshold == pytest.approx(5 - math.sqrt(5) / 2)
-            hits += trace.eta_bits[0]
+            hits += trace.steps[0].eta
         band = 3 * math.sqrt(reference * (1 - reference) / trials)
         assert abs(hits / trials - reference) <= band
