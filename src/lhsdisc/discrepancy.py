@@ -279,15 +279,53 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     return _exact(ps, None)
 
 
-def _candidate_value(ps: PointSet, box: AnchoredBox) -> tuple[float, bool]:
-    # Max of the open evaluation and the closed-limit surplus; each is a
-    # valid lower bound for the star discrepancy.
-    vol = box_volume(box)
-    open_val = abs(count_open(ps, box) / ps.n_points - vol)
-    closed_val = count_closed(ps, box) / ps.n_points - vol
-    if closed_val >= open_val:
-        return closed_val, True
-    return open_val, False
+#: Point x corner cells per block of the lower estimate (two bool buffers
+#: of 64 KiB each); a block is at least one corner.
+_ESTIMATE_CELLS = 1 << 16
+
+
+class _CornerScorer:
+    """Scores blocks of candidate corners and keeps the first strict maximum.
+
+    A corner's value is the larger of its open evaluation |open/N - vol|
+    and its closed-limit surplus closed/N - vol, each a valid lower bound
+    for the star discrepancy.  The volume is the left-to-right product of
+    the corner's components, and the counts come from one broadcast
+    comparison per axis into the block buffers, so every value is the
+    binary64 result a corner-by-corner evaluation gives.
+    """
+
+    def __init__(self, coords: np.ndarray):
+        self.n = coords.shape[0]
+        self.columns = coords.T.copy()
+        self.rows = max(1, _ESTIMATE_CELLS // self.n)
+        self.inside = np.empty((self.rows, self.n), dtype=bool)
+        self.axis_in = np.empty((self.rows, self.n), dtype=bool)
+        self.value = -np.inf
+        self.box: AnchoredBox | None = None
+
+    def offer(self, corners: np.ndarray, boxes: Sequence[AnchoredBox] | None = None) -> None:
+        """Score up to ``self.rows`` corners; ``boxes`` are their own boxes."""
+        vol = corners[:, 0].copy()
+        for j in range(1, corners.shape[1]):
+            vol *= corners[:, j]
+        open_val = np.abs(self._inside(np.less, corners) / self.n - vol)
+        closed_val = self._inside(np.less_equal, corners) / self.n - vol
+        cand = np.maximum(closed_val, open_val, out=vol)
+        i = int(cand.argmax())
+        if cand[i] > self.value:
+            self.value = float(cand[i])
+            self.box = boxes[i] if boxes is not None else AnchoredBox(corners[i])
+
+    def _inside(self, compare, corners: np.ndarray) -> np.ndarray:
+        """Per corner, the points with ``compare(x_j, y_j)`` on every axis."""
+        m = corners.shape[0]
+        inside, axis_in = self.inside[:m], self.axis_in[:m]
+        compare(self.columns[0], corners[:, :1], out=inside)
+        for j in range(1, corners.shape[1]):
+            compare(self.columns[j], corners[:, j:j + 1], out=axis_in)
+            inside &= axis_in
+        return np.count_nonzero(inside, axis=1)
 
 
 def star_discrepancy_lower_estimate(
@@ -299,33 +337,39 @@ def star_discrepancy_lower_estimate(
     """Certified lower bound for the star discrepancy.
 
     Takes the best local discrepancy (open and closed-limit evaluations)
-    over the boxes anchored at each point, ``budget`` random corners drawn
-    from the critical grid, and any caller-supplied boxes.  For a fixed
-    seed the random corners form a prefix stream, so a larger budget never
-    lowers the result.
+    over any caller-supplied boxes, then the boxes anchored at each point,
+    then ``budget`` random corners drawn from the critical grid, one
+    ``randbelow`` per axis and corner in row-major order.  A box replaces
+    the best one only when its value is strictly larger, so the first
+    maximizer in that order is returned (a winning extra box is returned
+    as passed).  For a fixed seed the random corners form a prefix stream,
+    so a larger budget never lowers the result.
+
+    The candidates are scored in blocks of at most 64k point x corner
+    cells (one corner when N is larger), and the random corners are drawn
+    one block at a time (``Stream.randbelow_rows``), so memory does not
+    grow with the budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    best_val = -np.inf
-    best_box: AnchoredBox | None = None
+    extra = list(extra_boxes)
+    for box in extra:
+        _require_same_dim(ps, box)
+    coords = ps.coords
+    scorer = _CornerScorer(coords)
+    step = scorer.rows
+    for i in range(0, len(extra), step):
+        boxes = extra[i:i + step]
+        scorer.offer(np.array([box.upper for box in boxes]), boxes)
+    for i in range(0, ps.n_points, step):
+        scorer.offer(coords[i:i + step])
 
-    def consider(box: AnchoredBox) -> None:
-        nonlocal best_val, best_box
-        val, _ = _candidate_value(ps, box)
-        if val > best_val:
-            best_val = val
-            best_box = box
-
-    for box in extra_boxes:
-        consider(box)
-    for row in ps.coords:
-        consider(AnchoredBox(row.copy()))
-
-    grids = _grids(ps.coords)
+    grids = _grids(coords)
+    sizes = [len(g) for g in grids]
     stream = Stream(derive(seed, "lower-estimate"))
-    for _ in range(budget):
-        corner = np.array([g[stream.randbelow(len(g))] for g in grids])
-        consider(AnchoredBox(corner))
+    for done in range(0, budget, step):
+        picks = stream.randbelow_rows(sizes, min(step, budget - done))
+        scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]))
 
-    assert best_box is not None
-    return float(best_val), best_box
+    assert scorer.box is not None
+    return scorer.value, scorer.box

@@ -86,9 +86,8 @@ def validate_pointset(ps: PointSet) -> None:
     bad = ~((coords >= 0.0) & (coords < 1.0))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        value = coords[row, col]
         raise CoordinateOutOfRange(
-            f"coordinate [{row},{col}] = {value!r} outside [0, 1)"
+            f"coordinate [{row},{col}] = {float(coords[row, col])!r} outside [0, 1)"
         )
 
 

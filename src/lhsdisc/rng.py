@@ -15,6 +15,8 @@ derived stream so results never depend on scheduling.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -33,6 +35,9 @@ _U11 = np.uint64(11)
 
 #: 2**-53; top 53 bits of an output map to a uniform double in [0, 1).
 _INV53 = float.fromhex("0x1p-53")
+
+#: Outputs x cycle states per scan chunk of ``Stream.randbelow_rows``.
+_SCAN_CELLS = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -118,6 +123,67 @@ class Stream:
             r = self.next_u64() & mask
             if r < bound:
                 return r
+
+    def randbelow_rows(self, bounds: Sequence[int], rows: int) -> np.ndarray:
+        """``rows`` rows of ``randbelow(b) for b in bounds`` as an int64 array.
+
+        Bit-equal to the scalar calls made row by row, left to right, and
+        leaves the stream at the same counter.  A bound of 1 consumes no
+        output, as in ``randbelow``.
+        """
+        bounds = [int(b) for b in bounds]
+        if any(b <= 0 for b in bounds):
+            raise ValueError("bound must be positive")
+        out = np.zeros((rows, len(bounds)), dtype=np.int64)
+        active = [j for j, b in enumerate(bounds) if b > 1]
+        if active and rows > 0:
+            values = self._accepted([bounds[j] for j in active], rows * len(active))
+            out[:, active] = values.reshape(rows, len(active))
+        return out
+
+    def _accepted(self, bounds: list[int], need: int) -> np.ndarray:
+        """The first ``need`` values that bitmask rejection accepts, with the
+        bound cycling through ``bounds`` and moving on only at an acceptance.
+
+        Which bound an output is tested against depends on every rejection
+        before it, so the state (the position in the cycle) of each output
+        of a chunk comes from an inclusive scan that composes the per-output
+        state maps, doubling the span each pass (Hillis-Steele).  Only the
+        outputs up to the last acceptance used are consumed.
+        """
+        p = len(bounds)
+        bound = np.array(bounds, dtype=np.uint64)
+        mask = np.array([(1 << (b - 1).bit_length()) - 1 for b in bounds], dtype=np.uint64)
+        chunk = max(1, _SCAN_CELLS // p)
+        parts = []
+        state = 0
+        while need:
+            start = self._count
+            # An acceptance takes fewer than two outputs on average.
+            m = min(need * 9 // 4 + 64, chunk)
+            values = self.u64_block(m)[:, None] & mask  # (m, p): as drawn in each state
+            accept = values < bound
+            # maps[j, s]: the state after output j when it is drawn in state s;
+            # the scan makes it the state after outputs 0..j from state s.
+            maps = (np.arange(p) + accept) % p
+            flat = maps.reshape(-1)
+            offsets = np.arange(0, m * p, p)[:, None]
+            span = 1
+            while span < m:
+                maps[span:] = flat[maps[:-span] + offsets[span:]]
+                span *= 2
+            states = np.empty(m, dtype=np.intp)
+            states[0] = state
+            states[1:] = maps[:-1, state]
+            hits = np.flatnonzero(accept[np.arange(m), states])
+            if hits.size >= need:
+                hits = hits[:need]
+                self._count = start + int(hits[-1]) + 1
+            else:
+                state = int(maps[-1, state])
+            parts.append(values[hits, states[hits]])
+            need -= hits.size
+        return np.concatenate(parts).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of {0, ..., n-1}.

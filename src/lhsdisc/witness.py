@@ -143,6 +143,15 @@ def theory_constants(sc: SlabConstant) -> TheoryConstants:
     return TheoryConstants(v=v, K=root / 80.0, expectation_const=root / (32.0 * math.sqrt(2.0)))
 
 
+def _shrinks(k: int, w_count: int, y_count: int, n: int) -> bool:
+    """Y <= m - sqrt(m)/2 with m = k W / N, decided in integers.
+
+    With D = k W - Y N = N (m - Y), the rule is D >= 0 and 4 D^2 >= k W N.
+    """
+    gap = k * w_count - y_count * n
+    return gap >= 0 and 4 * gap * gap >= k * w_count * n
+
+
 def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
     """Run the construction on ``ps`` and record every intermediate.
 
@@ -150,9 +159,12 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
     axis j is [1 - c/d, 1), and all membership tests use the literal
     strict/non-strict comparisons, so the Latin counting identities
     (stripe count = floor(N/4), slab count = N c / d) hold exactly.
-    Thresholds are evaluated in plain binary64: the counts are integers
-    while n p - sqrt(n p)/2 is irrational for almost every sample, so the
-    non-strict tie rule is safe without a rounding guard.
+    The shrink rule Y <= m - sqrt(m)/2, with m = k W / N (k = N c / d
+    points per slab, W points in the box), is decided exactly in integers
+    (``_shrinks``).  In binary64 an exact tie can round the wrong way: at
+    N = 7840, d = 2 (k = 49), W = 640 gives m = 4 and the tie Y = 3, but
+    49 * (640 / 7840) rounds below 4, so the float threshold falls below
+    3.  The float ``threshold`` is kept for the trace only.
     """
     n, d = ps.n_points, ps.dim
     if (n, d) != (sc.n_points, sc.dim):
@@ -192,7 +204,7 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
         y_count = int((inside & (col >= shrink)).sum())
         mean = n_slab * p
         threshold = mean - math.sqrt(mean) / 2.0
-        eta = 1 if y_count <= threshold else 0
+        eta = int(_shrinks(n_slab, w_count, y_count, n))
         if eta:
             x_j = shrink
             upper[j - 1] = shrink

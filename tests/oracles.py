@@ -10,7 +10,9 @@ The two reference exact kernels are the library's earlier implementations,
 kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
 last axis, and the O(N^2) two-dimensional insertion sweep.  The blocked
 prefix-count kernel that replaced them must agree with them bit for bit
-(value, argmax box and side).
+(value, argmax box and side).  The reference lower estimate is likewise
+the earlier box-at-a-time estimator, kept verbatim; the block-scoring
+estimator must return the same value and box.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +29,12 @@ from lhsdisc.discrepancy import (
     BudgetExceeded,
     DimensionMismatch,
     DiscrepancyCertificate,
+    box_volume,
+    count_closed,
+    count_open,
 )
 from lhsdisc.points import PointSet
+from lhsdisc.rng import Stream, derive
 
 
 def dense_grid_star_discrepancy(coords: np.ndarray, m: int = 400) -> float:
@@ -212,6 +219,69 @@ def reference_star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
             best.closed = bool(d_plus[i] >= d_minus[i])
     assert best.upper is not None
     return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
+
+
+def _candidate_value(ps: PointSet, box: AnchoredBox) -> tuple[float, bool]:
+    # Max of the open evaluation and the closed-limit surplus; each is a
+    # valid lower bound for the star discrepancy.
+    vol = box_volume(box)
+    open_val = abs(count_open(ps, box) / ps.n_points - vol)
+    closed_val = count_closed(ps, box) / ps.n_points - vol
+    if closed_val >= open_val:
+        return closed_val, True
+    return open_val, False
+
+
+def reference_star_discrepancy_lower_estimate(
+    ps: PointSet,
+    budget: int,
+    seed: int = 0,
+    extra_boxes: Sequence[AnchoredBox] = (),
+) -> tuple[float, AnchoredBox]:
+    """Certified lower bound for the star discrepancy.
+
+    Takes the best local discrepancy (open and closed-limit evaluations)
+    over the boxes anchored at each point, ``budget`` random corners drawn
+    from the critical grid, and any caller-supplied boxes.  For a fixed
+    seed the random corners form a prefix stream, so a larger budget never
+    lowers the result.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    best_val = -np.inf
+    best_box: AnchoredBox | None = None
+
+    def consider(box: AnchoredBox) -> None:
+        nonlocal best_val, best_box
+        val, _ = _candidate_value(ps, box)
+        if val > best_val:
+            best_val = val
+            best_box = box
+
+    for box in extra_boxes:
+        consider(box)
+    for row in ps.coords:
+        consider(AnchoredBox(row.copy()))
+
+    grids = _grids(ps.coords)
+    stream = Stream(derive(seed, "lower-estimate"))
+    for _ in range(budget):
+        corner = np.array([g[stream.randbelow(len(g))] for g in grids])
+        consider(AnchoredBox(corner))
+
+    assert best_box is not None
+    return float(best_val), best_box
+
+
+def witness_shrinks_frac(k: int, w_count: int, y_count: int, n: int) -> bool:
+    """The witness rule Y <= m - sqrt(m)/2, m = k W / N, in rationals.
+
+    sqrt(m) <= 2 (m - Y) holds iff the right side is non-negative and its
+    square is at least m.
+    """
+    m = Fraction(k * w_count, n)
+    bound = 2 * (m - y_count)
+    return bound >= 0 and bound * bound >= m
 
 
 def binom_pmf_frac(n: int, p: Fraction, k: int) -> Fraction:

@@ -68,6 +68,12 @@ def test_stardisc_budget_guard(tmp_path):
                 "--budget", "100"]) == 2
 
 
+def test_stardisc_out_of_range_coordinate_message(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# pointset v1\n1 1\n1.0\n"))
+    assert run(["stardisc", "--in", "-", "--method", "exact"]) == 2
+    assert capsys.readouterr().err == "error: coordinate [0,0] = 1.0 outside [0, 1)\n"
+
+
 @pytest.mark.parametrize("method", ["exact", "estimate"])
 def test_stardisc_budget_below_one_exit_2(tmp_path, capsys, method):
     out = tmp_path / "p.txt"

@@ -27,6 +27,7 @@ from oracles import (
     dense_grid_star_discrepancy,
     reference_star_discrepancy_exact,
     reference_star_discrepancy_exact_2d,
+    reference_star_discrepancy_lower_estimate,
 )
 
 
@@ -336,6 +337,112 @@ class TestLowerEstimate:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             star_discrepancy_lower_estimate(pset([0.5]), budget=0)
+
+
+def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
+    value, found = star_discrepancy_lower_estimate(ps, budget, seed, extra_boxes)
+    ref_value, ref_found = reference_star_discrepancy_lower_estimate(
+        ps, budget, seed, extra_boxes)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert found.upper.tobytes() == ref_found.upper.tobytes()
+    assert any(found is b for b in extra_boxes) == any(ref_found is b for b in extra_boxes)
+    if any(ref_found is b for b in extra_boxes):
+        assert found is ref_found
+    return value, found
+
+
+def block_rows(n):
+    return max(1, discrepancy._ESTIMATE_CELLS // n)
+
+
+class TestLowerEstimateAgainstScalarEstimator:
+    """Bit-equality (value, box bytes, winning extra box) with the
+    box-at-a-time estimator that block scoring replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_samples_over_small_budgets(self, sampler, d):
+        for n in (1, 5, 40, 128):
+            ps = sampler(n, d, derive(derive(d, n), "estimate"))
+            for budget in (1, 7, 600):
+                assert_estimate_bit_equal(ps, budget, seed=n + budget)
+
+    @pytest.mark.parametrize("n,d", [(40, 1), (40, 3), (128, 2), (128, 4), (3200, 2)])
+    def test_budgets_around_the_block_size(self, n, d):
+        ps = lhs_sample(n, d, derive(90, f"block-{n}-{d}"))
+        rows = block_rows(n)
+        for budget in (rows - 1, rows, rows + 1):
+            assert_estimate_bit_equal(ps, budget, seed=budget)
+
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_benchmark_shape(self, sampler):
+        # d = 3, N = 128, budget 12000: 24 blocks of random corners.
+        ps = sampler(128, 3, derive(91, "shape"))
+        assert_estimate_bit_equal(ps, 12000, seed=4)
+
+    def test_extra_boxes_tie_and_win(self):
+        ps = lhs_sample(40, 2, derive(92, "extra"))
+        _, winner = reference_star_discrepancy_lower_estimate(ps, 1, seed=3)
+        # A copy of the winning box ties with it, so the extra box
+        # (scored first) is returned; of two equal extra boxes, the first.
+        tie = AnchoredBox(winner.upper)
+        twin = AnchoredBox(winner.upper)
+        _, found = assert_estimate_bit_equal(ps, 1, 3, [box(0.5, 0.5), tie, twin])
+        assert found is tie
+        _, found = assert_estimate_bit_equal(ps, 1, 3, [box(0.0, 0.0)])
+        assert found.upper.tobytes() == winner.upper.tobytes()
+
+    def test_extra_boxes_over_several_blocks(self):
+        ps = uniform_sample(3200, 2, derive(93, "many-extra"))
+        stream = Stream(derive(93, "extra-boxes"))
+        extra = [AnchoredBox(stream.uniform_block(2)) for _ in range(3 * block_rows(3200) + 5)]
+        assert_estimate_bit_equal(ps, 50, 1, extra)
+        assert_estimate_bit_equal(ps, 50, 1, extra + [AnchoredBox(np.zeros(2))])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coarse_lattices_of_different_grid_sizes(self, d):
+        # Coordinates on {0, 1/m_j, ...} with a different m_j per axis: the
+        # grid sizes differ across axes, with ties and duplicate points.
+        stream = Stream(derive(94, f"mixed-lattice-{d}"))
+        for sizes in ([1, 2, 3, 5][:d], [8, 3, 1, 2][:d], [5, 8, 2, 3][:d]):
+            for n in (1, 6, 30, 200):
+                coords = np.array([[stream.randbelow(m) / m for m in sizes] for _ in range(n)])
+                for budget in (1, 9, 700):
+                    assert_estimate_bit_equal(PointSet(coords), budget, seed=n)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_small_sets_property(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 12))
+        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                          st.floats(0.0, 1.0, exclude_max=True))
+        coords = data.draw(st.lists(value, min_size=n * d, max_size=n * d))
+        corner = st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                    st.floats(0.0, 1.0)), min_size=d, max_size=d)
+        extra = [AnchoredBox(np.array(c)) for c in data.draw(st.lists(corner, max_size=3))]
+        budget = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        assert_estimate_bit_equal(PointSet(np.array(coords).reshape(n, d)), budget, seed, extra)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # A 128 x 3 call with budget 12000 never holds an array the size of
+        # the budget: 2 x 64 KiB of comparison buffers plus one block of
+        # corners and draws.
+        ps = lhs_sample(128, 3, derive(95, "memory"))
+        star_discrepancy_lower_estimate(ps, 1)  # first-call imports
+        tracemalloc.start()
+        try:
+            star_discrepancy_lower_estimate(ps, 12000, seed=1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert current < 1 << 16
+
+    def test_extra_box_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            star_discrepancy_lower_estimate(pset([0.5, 0.5]), 1, extra_boxes=[box(0.5)])
 
 
 def test_lhs_2d_pipeline_agreement():

@@ -29,6 +29,14 @@ def test_validate_rejects_one():
         PointSet(np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("value,shown", [(1.0, "1.0"), (-0.5, "-0.5"),
+                                         (float("nan"), "nan"), (-1e-300, "-1e-300")])
+def test_out_of_range_message_shows_a_plain_float(value, shown):
+    with pytest.raises(CoordinateOutOfRange) as err:
+        PointSet(np.array([[0.5, 0.25], [0.125, value]]))
+    assert str(err.value) == f"coordinate [1,1] = {shown} outside [0, 1)"
+
+
 def test_validate_rejects_negative_and_nan():
     with pytest.raises(CoordinateOutOfRange):
         validate_pointset(PointSet.from_flat(1, 1, [-1e-300]))

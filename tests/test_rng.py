@@ -70,6 +70,45 @@ def test_randbelow_bounds_and_determinism():
         s.randbelow(0)
 
 
+def scalar_rows(stream, bounds, rows):
+    return [[stream.randbelow(b) for b in bounds] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77])
+def test_randbelow_rows_matches_scalar_calls(seed):
+    # Bounds 1 (no output), 2 and 64 (no rejection), 65 and 129 (about
+    # half the outputs rejected), in several orders, over several calls.
+    orders = [[1, 2, 64, 65, 129], [129, 65, 1, 64, 2], [65, 1, 1, 129], [64, 2], [129]]
+    rows_a, rows_b = Stream(seed), Stream(seed)
+    for bounds in orders:
+        for rows in (1, 2, 7, 100, 513):
+            got = rows_a.randbelow_rows(bounds, rows)
+            assert got.dtype == np.int64 and got.shape == (rows, len(bounds))
+            assert got.tolist() == scalar_rows(rows_b, bounds, rows)
+            assert rows_a._count == rows_b._count
+    assert rows_a.next_u64() == rows_b.next_u64()
+
+
+def test_randbelow_rows_across_scan_chunks():
+    # Far more outputs than one scan chunk, with the chunk ending mid-row.
+    bounds = [129, 65, 2, 64, 129]
+    a, b = Stream(5), Stream(5)
+    assert a.randbelow_rows(bounds, 9000).tolist() == scalar_rows(b, bounds, 9000)
+    assert a._count == b._count
+    a, b = Stream(6), Stream(6)
+    assert a.randbelow_rows([65], 70000).tolist() == scalar_rows(b, [65], 70000)
+    assert a._count == b._count
+
+
+def test_randbelow_rows_edge_cases():
+    s = Stream(8)
+    assert s.randbelow_rows([1, 1], 4).tolist() == [[0, 0]] * 4
+    assert s.randbelow_rows([5, 7], 0).shape == (0, 2)
+    assert s._count == 0
+    with pytest.raises(ValueError):
+        s.randbelow_rows([3, 0], 2)
+
+
 def test_permutation_is_a_bijection():
     s = Stream(11)
     for n in (1, 2, 5, 64):

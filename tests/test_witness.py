@@ -1,21 +1,27 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lhsdisc.discrepancy import DimensionMismatch, star_discrepancy_exact_2d
-from lhsdisc.points import PointSet
+from lhsdisc.points import ONE_BELOW, PointSet
 from lhsdisc.rng import derive
 from lhsdisc.sampling import lhs_sample, uniform_sample
 from lhsdisc.witness import (
     NoAdmissibleC,
     NotLatinWarning,
     PreconditionViolated,
+    _shrinks,
     build_witness,
     compute_slab_constant,
     theory_constants,
     witness_lower_bound,
 )
+
+from oracles import witness_shrinks_frac
 
 
 def largest_admissible_k(n_points, dim):
@@ -237,3 +243,73 @@ class TestBuildWitness:
             hits += trace.steps[0].eta
         band = 3 * math.sqrt(reference * (1 - reference) / trials)
         assert abs(hits / trials - reference) <= band
+
+
+def first_step_instance(n, w_count, y_count):
+    """d = 2 points whose first step sees W = w_count and Y = y_count."""
+    coords = np.zeros((n, 2))
+    coords[w_count:, 0] = 0.5  # outside the stripe [0, floor(N/4)/N)
+    coords[:y_count, 1] = ONE_BELOW  # inside the slab [1 - c/2, 1)
+    return PointSet(coords)
+
+
+def near_ties(n, k, width):
+    """(W, Y) with Y next to the threshold and |4 D^2 - k W N| <= width."""
+    out = []
+    for w in range(1, n + 1):
+        m = k * w / n
+        below = math.floor(m - math.sqrt(m) / 2)
+        for y in (below, below + 1):
+            gap = k * w - y * n
+            if 0 <= y <= w and abs(4 * gap * gap - k * w * n) <= width:
+                out.append((w, y))
+    return out
+
+
+class TestExactShrinkRule:
+    """The shrink decision against a rational oracle, ties included."""
+
+    # Exact ties where k * (W / N) rounds below m = 4 or m = 16, so the
+    # binary64 threshold falls below Y and the float rule would not shrink.
+    FLOAT_MISSES = [(7840, 640, 3), (7840, 2560, 14), (15520, 1000, 5)]
+
+    @pytest.mark.parametrize("n,w_count,y_count", FLOAT_MISSES)
+    def test_ties_the_float_rule_missed(self, n, w_count, y_count):
+        sc = compute_slab_constant(n, 2, strict=False)
+        mean = sc.k_int * (w_count / n)
+        assert y_count > mean - math.sqrt(mean) / 2.0
+        assert witness_shrinks_frac(sc.k_int, w_count, y_count, n)
+        with pytest.warns(NotLatinWarning):
+            trace = build_witness(first_step_instance(n, w_count, y_count), sc)
+        step = trace.steps[0]
+        assert (step.w_count, step.y_count, step.eta) == (w_count, y_count, 1)
+        assert trace.final_box.upper[1] == sc.shrink_coord
+
+    @pytest.mark.parametrize("n", [160, 323, 800, 1601, 3200, 7840])
+    def test_near_ties_match_the_oracle(self, n):
+        sc = compute_slab_constant(n, 2, strict=False)
+        cases = near_ties(n, sc.k_int, n)
+        assert cases
+        for w_count, y_count in cases:
+            assert (_shrinks(sc.k_int, w_count, y_count, n)
+                    == witness_shrinks_frac(sc.k_int, w_count, y_count, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotLatinWarning)
+            for w_count, y_count in cases[:: max(1, len(cases) // 8)]:
+                trace = build_witness(first_step_instance(n, w_count, y_count), sc)
+                assert trace.steps[0].eta == witness_shrinks_frac(
+                    sc.k_int, w_count, y_count, n)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_and_float_rules_agree_on_lhs(self, data):
+        d = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(160 * d, 2400))
+        try:
+            sc = compute_slab_constant(n, d, strict=False)
+        except NoAdmissibleC:
+            assume(False)
+        trace = build_witness(lhs_sample(n, d, data.draw(st.integers(0, 2**32))), sc)
+        for step in trace.steps:
+            assert step.eta == (1 if step.y_count <= step.threshold else 0)
+            assert step.eta == witness_shrinks_frac(sc.k_int, step.w_count, step.y_count, n)
