@@ -124,6 +124,10 @@ def cmd_witness(args) -> int:
         print(f"p = {_f17(step.p)}")
         print(f"Y = {step.y_count}")
         print(f"threshold = {_f17(step.threshold)}")
+        # The integers the rule decides on: eta = 1 iff D = kW - YN >= 0
+        # and 4 D^2 >= kW N; the float threshold can round across a tie.
+        print(f"kW = {sc.k_int * step.w_count}")
+        print(f"YN = {step.y_count * trace.n_points}")
         print(f"eta = {step.eta}")
         print(f"x = {_f17(step.x)}")
         print(f"volume = {_f17(step.volume)}")

@@ -23,6 +23,20 @@ visited in lexicographic order and the best value is replaced only by a
 strictly larger one, so the reported box is the lexicographically
 smallest maximizer; it is closed-sided when its closed surplus is at
 least its open deficiency.
+
+Each table takes two passes over its blocks of rows.  The first computes,
+per block, an upper bound on its cells from the closed counts of its last
+row with the volumes of its first row, and the volumes of its last row
+with the open counts of the row above it; counts only grow down the rows
+and along them, and division by N, products of non-negative numbers and
+a - b are monotone under round-to-nearest, so the bound holds in binary64.
+It also computes the exact values of every block's last row; their
+maximum, the floor, is attained by some corner.  The second pass scores a
+block only if its bound is at least the floor and above the best value so
+far.  A skipped block holds no corner above the floor or the best value,
+so it cannot hold the first strict maximum, and the result is the one the
+full scan gives.  A block whose bound equals the floor is scored, as an
+earlier corner may tie with the floor.
 """
 
 from __future__ import annotations
@@ -137,14 +151,22 @@ _BLOCK_CELLS = 16384
 
 
 class _ExactKernel:
-    """One exact computation: prefixes of the leading axes, then a table.
+    """One exact computation: prefixes of the leading axes, then tables.
 
     A table row holds the closed counts of the row's corners, then their
     open counts.  A point is kept as the flat index of the cell from which
     on it counts: closed from its own grid index on each of the last two
-    axes, open from the next one.  A block of rows is ``carry`` (per column,
-    the survivors in the rows above the block) plus the block's own
-    survivors, cumulated down the rows and then across the columns.
+    axes, open from the next one.  Rows are cut into blocks; a block's
+    counts are ``carry`` (per column, the points in the rows above it) plus
+    its own points, cumulated down the rows and then across the columns.
+
+    Each table takes two passes.  Pass 1 (``_bounds``) computes, for every
+    block, an upper bound on its cells and the exact values of its last
+    row; the largest of those, the floor, is a value some cell attains.
+    Pass 2 scores a block only if its bound is at least the floor and
+    above the best value so far; any other block holds no cell that could
+    become the first strict maximum.  ``blocks_seen`` and
+    ``blocks_scored`` count the blocks of every table and those scored.
     """
 
     def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
@@ -154,20 +176,25 @@ class _ExactKernel:
         self.grid_u, self.grid_v = grids[-2], grids[-1]
         n_rows, n_cols = len(self.grid_u), len(self.grid_v)
         self.width = 2 * n_cols
-        block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
-        self.edges = list(range(0, n_rows, block_rows)) + [n_rows]
+        self.block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
+        self.edges = list(range(0, n_rows, self.block_rows)) + [n_rows]
+        self.first_rows = np.array(self.edges[:-1])
+        self.last_rows = np.array(self.edges[1:]) - 1
+        self.edge_cells = np.array(self.edges) * self.width
         u, v = coords[:, -2], coords[:, -1]
         self.closed_cells = (np.searchsorted(self.grid_u, u, "left") * self.width
                              + np.searchsorted(self.grid_v, v, "left"))
         self.open_cells = (np.searchsorted(self.grid_u, u, "right") * self.width + n_cols
                            + np.searchsorted(self.grid_v, v, "right"))
-        self.counts = np.empty((block_rows, 2, n_cols))
-        self.vols = np.empty((block_rows, n_cols))
+        self.counts = np.empty((self.block_rows, 2, n_cols))
+        self.vols = np.empty((self.block_rows, n_cols))
         self.carry = np.empty(self.width)
         self.hit = np.empty(self.width, dtype=bool)
         self.value = -np.inf
         self.upper: list[float] = []
         self.closed = False
+        self.blocks_seen = 0
+        self.blocks_scored = 0
 
     def run(self) -> None:
         every = np.arange(self.n)
@@ -191,29 +218,96 @@ class _ExactKernel:
                prefix: list[float]) -> None:
         cells = np.concatenate((self.closed_cells[closed_idx], self.open_cells[open_idx]))
         cells.sort()
-        cuts = np.searchsorted(cells, [r * self.width for r in self.edges]).tolist()
-        n, grid_u, grid_v = self.n, self.grid_u, self.grid_v
-        row_vol = vol_prefix * grid_u
+        cuts = np.searchsorted(cells, self.edge_cells).tolist()
+        cols = cells % self.width
+        row_vol = vol_prefix * self.grid_u
+        bounds, floor = self._bounds(cols, cuts, row_vol)
+        self.blocks_seen += len(bounds)
         self.carry.fill(0.0)
-        for r0, r1, lo, hi in zip(self.edges, self.edges[1:], cuts, cuts[1:]):
-            m = r1 - r0
+        carried = 0  # ``carry`` counts the points in the rows before this one
+        for r0, r1, lo, hi, bound in zip(self.edges, self.edges[1:], cuts, cuts[1:],
+                                         bounds.tolist()):
+            # Not skipped on bound == floor: an earlier cell may equal the floor.
+            if bound < floor or bound <= self.value:
+                continue
+            if carried != r0:
+                self.carry[:] = np.bincount(cols[:lo], minlength=self.width)
+            self._score(r0, r1, cells[lo:hi] - r0 * self.width, row_vol, prefix)
+            carried = r1
+            self.blocks_scored += 1
+
+    def _bounds(self, cols: np.ndarray, cuts: list[int],
+                row_vol: np.ndarray) -> tuple[np.ndarray, float]:
+        """Pass 1: per block, a bound on its cells; and the floor.
+
+        The blocks' last rows form a table of their own, one row per block,
+        copied from per-column running counts (``carry`` plus the columns
+        ``cols`` of each block's points) in chunks of ``block_rows`` rows.
+        A cell (r, c) of the block [r0, r1) has closed count at most that of
+        (r1-1, c) and volume at least row_vol[r0] * grid_v[c]; its open
+        count is at least that of (r0-1, c) (0 for the first block) and its
+        volume at most row_vol[r1-1] * grid_v[c].  Division by N,
+        products of non-negative numbers and a - b (rising in a, falling in
+        b) are monotone under round-to-nearest, so the cell's closed and
+        open values are at most those of the bounding counts and volumes:
+        the bound holds in binary64.  The last rows' values take the
+        scorer's operations in its order, so the floor is a value some cell
+        attains.
+        """
+        k = self.block_rows
+        n_blocks = len(cuts) - 1
+        first_vol, last_vol = row_vol[self.first_rows], row_vol[self.last_rows]
+        bounds = np.empty(n_blocks)
+        floor = -np.inf
+        self.carry.fill(0.0)
+        above = np.zeros(len(self.grid_v))  # open counts / N of the row above
+        for b0 in range(0, n_blocks, k):
+            m = min(k, n_blocks - b0)
             counts = self.counts[:m]
-            self._cumulate(counts.reshape(m, -1), cells[lo:hi] - r0 * self.width)
-            np.cumsum(counts, axis=2, out=counts)
-            np.divide(counts, n, out=counts)
-            d_plus = counts[:, 0]
-            d_minus = counts[:, 1]
-            vols = self.vols[:m]
-            np.multiply(row_vol[r0:r1, None], grid_v, out=vols)
-            np.subtract(d_plus, vols, out=d_plus)
-            np.subtract(vols, d_minus, out=d_minus)
-            cand = np.maximum(d_plus, d_minus, out=vols).reshape(-1)
-            i = int(cand.argmax())
-            if cand[i] > self.value:
-                r, c = divmod(i, len(grid_v))
-                self.value = float(cand[i])
-                self.upper = prefix + [float(grid_u[r0 + r]), float(grid_v[c])]
-                self.closed = bool(d_plus[r, c] >= d_minus[r, c])
+            rows = counts.reshape(m, -1)
+            for i, b in enumerate(range(b0, b0 + m)):
+                np.add.at(self.carry, cols[cuts[b]:cuts[b + 1]], 1.0)
+                rows[i] = self.carry
+            np.add.accumulate(counts, axis=2, out=counts)
+            np.divide(counts, self.n, out=counts)
+            closed, opened = counts[:, 0], counts[:, 1]
+            vols, bound = self.vols[:m], bounds[b0:b0 + m]
+            np.multiply(first_vol[b0:b0 + m, None], self.grid_v, out=vols)
+            np.subtract(closed, vols, out=vols)
+            np.maximum.reduce(vols, axis=1, out=bound)
+            np.multiply(last_vol[b0:b0 + m, None], self.grid_v, out=vols)
+            np.subtract(closed, vols, out=closed)
+            floor = max(floor, np.maximum.reduce(closed, axis=None))
+            # Open counts above each block: the previous block's last row.
+            np.subtract(vols[0], above, out=closed[0])
+            np.subtract(vols[1:], opened[:-1], out=closed[1:])
+            above[:] = opened[-1]
+            np.maximum(bound, np.maximum.reduce(closed, axis=1), out=bound)
+            np.subtract(vols, opened, out=opened)
+            floor = max(floor, np.maximum.reduce(opened, axis=None))
+        return bounds, float(floor)
+
+    def _score(self, r0: int, r1: int, cells: np.ndarray, row_vol: np.ndarray,
+               prefix: list[float]) -> None:
+        """Pass 2: every cell of the block [r0, r1); keeps the first strict maximum."""
+        m = r1 - r0
+        counts = self.counts[:m]
+        self._cumulate(counts.reshape(m, -1), cells)
+        np.add.accumulate(counts, axis=2, out=counts)
+        np.divide(counts, self.n, out=counts)
+        d_plus = counts[:, 0]
+        d_minus = counts[:, 1]
+        vols = self.vols[:m]
+        np.multiply(row_vol[r0:r1, None], self.grid_v, out=vols)
+        np.subtract(d_plus, vols, out=d_plus)
+        np.subtract(vols, d_minus, out=d_minus)
+        cand = np.maximum(d_plus, d_minus, out=vols).reshape(-1)
+        i = int(cand.argmax())
+        if cand[i] > self.value:
+            r, c = divmod(i, len(self.grid_v))
+            self.value = float(cand[i])
+            self.upper = prefix + [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
+            self.closed = bool(d_plus[r, c] >= d_minus[r, c])
 
     def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
         """Carry plus the block's points (flat cells), cumulated down the rows."""
@@ -225,9 +319,9 @@ class _ExactKernel:
             self.hit[cols] = True
             hit = np.flatnonzero(self.hit)
             steps = np.zeros((block.shape[0], hit.size))
-            np.add.at(steps, (rows, np.searchsorted(hit, cols)), 1.0)
+            np.add.at(steps.reshape(-1), rows * hit.size + np.searchsorted(hit, cols), 1.0)
             steps[0] += self.carry[hit]
-            block[:, hit] = np.cumsum(steps, axis=0, out=steps)
+            block[:, hit] = np.add.accumulate(steps, axis=0, out=steps)
         self.carry[:] = block[-1]
 
 
@@ -259,10 +353,15 @@ def star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCert
     Depth-first over all axes but the last two, filtering the points that
     survive each prefix; the last two axes are a table of 2-D prefix counts
     of the survivors, built and scored in blocks of about 16k corners, so
-    memory is O(N), not O(N^2).  Ties go to the lexicographically smallest
-    corner, and the side is closed when the closed surplus is at least the
-    open deficiency there.  Raises BudgetExceeded (reporting the required
-    grid size) before doing any work if the grid is too large.
+    memory is O(N), not O(N^2).  A first pass bounds every block from its
+    first and last rows (monotone binary64 operations on counts that only
+    grow, so the bound is rigorous) and finds the floor, the best value of
+    the blocks' last rows; the second scores only the blocks whose bound
+    reaches the floor and exceeds the best value so far.  Ties go to the
+    lexicographically smallest corner, and the side is closed when the
+    closed surplus is at least the open deficiency there.  Raises
+    BudgetExceeded (reporting the required grid size) before doing any
+    work if the grid is too large.
     """
     return _exact(ps, budget)
 

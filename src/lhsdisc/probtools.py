@@ -128,9 +128,14 @@ def log_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def binom_pmf(n: int, p: float, k: int) -> float:
+def _binom_domain(n: int, p: float) -> None:
+    """Checks the domain of B(n, p)."""
     if n < 0 or not 0.0 <= p <= 1.0:
-        raise DomainError(f"binom_pmf needs n >= 0 and p in [0,1], got n={n}, p={p}")
+        raise DomainError(f"binomial law needs n >= 0 and p in [0,1], got n={n}, p={p}")
+
+
+def _binom_mass(n: int, p: float, k: int) -> float:
+    """Mass of B(n, p) at k, for a domain already checked."""
     if k < 0 or k > n:
         return 0.0
     if p == 0.0:
@@ -140,17 +145,21 @@ def binom_pmf(n: int, p: float, k: int) -> float:
     return math.exp(log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
+def binom_pmf(n: int, p: float, k: int) -> float:
+    _binom_domain(n, p)
+    return _binom_mass(n, p, k)
+
+
 def binom_cdf(n: int, p: float, k: int) -> float:
-    if n < 0 or not 0.0 <= p <= 1.0:
-        raise DomainError(f"binom_cdf needs n >= 0 and p in [0,1], got n={n}, p={p}")
+    _binom_domain(n, p)
     if k < 0:
         return 0.0
     if k >= n:
         return 1.0
     if k + 1 <= n - k:
-        total = sum(binom_pmf(n, p, i) for i in range(k + 1))
+        total = sum(_binom_mass(n, p, i) for i in range(k + 1))
     else:
-        total = 1.0 - sum(binom_pmf(n, p, i) for i in range(k + 1, n + 1))
+        total = 1.0 - sum(_binom_mass(n, p, i) for i in range(k + 1, n + 1))
     return min(1.0, max(0.0, total))
 
 
@@ -189,7 +198,8 @@ def hypergeom_cdf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
 
 
 def binom_distribution(n: int, p: float) -> DiscreteDistribution:
-    return DiscreteDistribution(0, np.array([binom_pmf(n, p, k) for k in range(n + 1)]))
+    _binom_domain(n, p)
+    return DiscreteDistribution(0, np.array([_binom_mass(n, p, k) for k in range(n + 1)]))
 
 
 def hypergeom_distribution(n_total: int, n_white: int, n_draws: int) -> DiscreteDistribution:

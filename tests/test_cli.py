@@ -3,7 +3,8 @@ import io
 import pytest
 
 from lhsdisc.cli import main
-from lhsdisc.points import pointset_from_text
+from lhsdisc.points import pointset_from_text, pointset_to_text
+from lhsdisc.witness import NotLatinWarning
 
 
 CONFIG = """kind = lhs
@@ -146,6 +147,26 @@ def test_witness_trace_output(tmp_path, capsys):
     assert "step = 2" in lines
     assert any(line.startswith("k_count = ") for line in lines)
     assert any(line.startswith("threshold = ") for line in lines)
+
+
+def test_witness_trace_shows_the_integers_of_an_exact_tie(tmp_path, capsys):
+    # N = 7840, d = 2 (k = 49), W = 640, Y = 3: m = kW/N = 4 and
+    # Y = m - sqrt(m)/2 exactly, while the float threshold rounds below 3.
+    from test_witness import first_step_instance
+
+    out = tmp_path / "tie.txt"
+    out.write_text(pointset_to_text(first_step_instance(7840, 640, 3)))
+    with pytest.warns(NotLatinWarning):
+        assert run(["witness", "--in", str(out), "--force"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    step = lines[lines.index("step = 2"):]
+    fields = dict(line.split(" = ") for line in step[1:step.index("")])
+    assert (fields["W"], fields["Y"], fields["eta"]) == ("640", "3", "1")
+    assert float(fields["threshold"]) < 3
+    k_w, y_n, n = int(fields["kW"]), int(fields["YN"]), 7840
+    assert (k_w, y_n) == (49 * 640, 3 * n)
+    gap = k_w - y_n
+    assert gap >= 0 and 4 * gap * gap == k_w * n
 
 
 def test_prob_lemma4_pass_exit_0(capsys):

@@ -306,6 +306,73 @@ class TestKernelSharing:
             assert current < 1 << 16
 
 
+TIE_N, TIE_A = 1 << 14, (1 << 12) + 2
+
+
+def tie_across_blocks():
+    # v_i = i/N with N = 2**14, so the table has 16385 columns and every
+    # block is one row; u = 0 for the first a points, 0.5 for the next
+    # a - 1 and 0.75 for the rest.  Rows u = 0 and u = 0.5 both peak at
+    # a/N on their closed side, and every operation on them is exact.
+    u = np.full(TIE_N, 0.75)
+    u[:TIE_A] = 0.0
+    u[TIE_A:2 * TIE_A - 1] = 0.5
+    return PointSet(np.column_stack((u, np.arange(TIE_N) / TIE_N)))
+
+
+def run_kernel(ps):
+    kernel = discrepancy._ExactKernel(ps.coords, discrepancy._grids(ps.coords))
+    kernel.run()
+    return kernel
+
+
+class TestBoundAndSkip:
+    """The skip pass changes no result, and it skips most of a paper table."""
+
+    def test_block_whose_bound_equals_the_floor_is_scored(self):
+        # Row u = 0 is a block whose bound is its own closed maximum a/N;
+        # the floor is a/N too, attained again in the later row u = 0.5.
+        # Only scoring on bound == floor finds the first maximizer.
+        ps = tie_across_blocks()
+        later = box(0.5, (2 * TIE_A - 2) / TIE_N)
+        assert count_closed(ps, later) / TIE_N - box_volume(later) == TIE_A / TIE_N
+        cert = star_discrepancy_exact_2d(ps)
+        assert cert.value == TIE_A / TIE_N
+        assert cert.argmax_box.upper.tolist() == [0.0, (TIE_A - 1) / TIE_N]
+        assert cert.closed_sided
+        check_against_replaced_kernels(ps)
+
+    @pytest.mark.parametrize("n,m", [(600, 200), (400, 256)])
+    def test_3d_lattice_tables_of_three_or_more_blocks(self, n, m):
+        # About 200 columns per table: three blocks of rows, with ties.
+        ps = lattice_pointset(Stream(derive(85, f"skip-lattice-{n}-{m}")), n, 3, m)
+        assert len(run_kernel(ps).edges) - 1 >= 3
+        check_against_replaced_kernels(ps)
+
+    @pytest.mark.parametrize("d,sizes", [(1, (1, 2, 5, 100, 1000, 20000)), (4, (1, 3, 9, 14))])
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_one_and_four_dimensions(self, sampler, d, sizes):
+        for n in sizes:
+            for seed in range(2):
+                check_against_replaced_kernels(sampler(n, d, derive(derive(86, f"{d}-{n}"), seed)))
+
+    def test_paper_tables_score_under_a_tenth_of_their_blocks(self):
+        for seed in range(3):
+            ps = lhs_sample(3200, 2, seed=derive(87, seed))
+            kernel = run_kernel(ps)
+            assert kernel.blocks_seen == 641
+            assert kernel.blocks_scored < kernel.blocks_seen / 10
+            assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
+
+    def test_counters_are_deterministic(self):
+        ps = lhs_sample(128, 3, seed=derive(88, "counters"))
+        first, second = run_kernel(ps), run_kernel(ps)
+        # 129 tables of 129 x 129 corners, each two blocks of rows.
+        assert first.blocks_seen == second.blocks_seen == 129 * 2
+        assert first.blocks_scored == second.blocks_scored
+        assert 0 < first.blocks_scored <= first.blocks_seen
+
+
 class TestLowerEstimate:
     def test_never_exceeds_exact(self):
         stream = Stream(derive(71, "lower"))

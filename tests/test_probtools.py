@@ -83,6 +83,16 @@ class TestBinomial:
                 exact = float(binom_cdf_frac(n, p, k))
                 assert binom_cdf(n, 0.25, k) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("args", [(-1, 0.5), (5, -0.25), (5, 1.5)])
+    def test_domain_checked_by_every_function(self, args):
+        # n < 0 and p outside [0, 1] have no binomial law.
+        with pytest.raises(DomainError, match="binomial law"):
+            binom_pmf(*args, 0)
+        with pytest.raises(DomainError, match="binomial law"):
+            binom_cdf(*args, 0)
+        with pytest.raises(DomainError, match="binomial law"):
+            binom_distribution(*args)
+
 
 class TestHypergeometric:
     def test_all_white(self):
