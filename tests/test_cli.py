@@ -37,6 +37,28 @@ def test_sample_then_stardisc_pipeline(tmp_path, capsys):
     assert "box = " in text and "side = " in text
 
 
+STARDISC_BOX = "box = 0.2630154289807099 0.60295598153443408\n"
+STARDISC_EXACT = ("kind = exact\nvalue = 0.17474660719356913\n" + STARDISC_BOX
+                  + "side = closed\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--method", "exact"], "method = exact\n" + STARDISC_EXACT),
+    (["--method", "exact2d"], "method = exact2d\n" + STARDISC_EXACT),
+    (["--method", "estimate"], "method = estimate\nkind = lower-bound\n"
+     "value = 0.17474660719356913\n" + STARDISC_BOX),
+    (["--method", "estimate", "--budget", "20", "--seed", "3"],
+     "method = estimate\nkind = lower-bound\nvalue = 0.14153630091858321\n"
+     "box = 0.2630154289807099 0.41238530949213525\n"),
+], ids=["exact", "exact2d", "estimate", "estimate-budget-seed"])
+def test_stardisc_stdout_bytes_pinned(tmp_path, capsys, argv, expected):
+    out = tmp_path / "p.txt"
+    assert run(["sample", "--kind", "lhs", "--n", "12", "--d", "2", "--seed", "1",
+                "--out", str(out)]) == 0
+    assert run(["stardisc", "--in", str(out)] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_sample_to_stdout_and_stardisc_from_stdin(capsys, monkeypatch):
     assert run(["sample", "--kind", "uniform", "--n", "4", "--d", "1",
                 "--seed", "3", "--out", "-"]) == 0
