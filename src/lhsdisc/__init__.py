@@ -6,11 +6,13 @@ from .discrepancy import (
     BudgetExceeded,
     DimensionMismatch,
     DiscrepancyCertificate,
+    MethodError,
     box_volume,
     count_closed,
     count_open,
     excess,
     local_discrepancy,
+    star_discrepancy,
     star_discrepancy_exact,
     star_discrepancy_exact_2d,
     star_discrepancy_lower_estimate,

@@ -10,14 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, probtools, witness
-from .discrepancy import (
-    BudgetExceeded,
-    DimensionMismatch,
-    star_discrepancy_exact,
-    star_discrepancy_exact_2d,
-    star_discrepancy_lower_estimate,
-)
+from . import discrepancy, harness, probtools, witness
 from .points import ParseError, PointSetError, read_pointset, write_pointset
 from .probtools import DepthExceeded, DomainError, HypothesisNotMet, InvariantViolated
 from .rng import Stream, derive
@@ -33,8 +26,9 @@ USAGE_ERRORS = (
     DomainError,
     DepthExceeded,
     InvariantViolated,
-    BudgetExceeded,
-    DimensionMismatch,
+    discrepancy.BudgetExceeded,
+    discrepancy.DimensionMismatch,
+    discrepancy.MethodError,
     harness.ConfigError,
     harness.NoData,
     UnicodeDecodeError,  # an input file that is not UTF-8 text
@@ -81,26 +75,13 @@ def cmd_sample(args) -> int:
 
 def cmd_stardisc(args) -> int:
     ps = _read_points(args.infile)
-    if args.method == "exact":
-        budget = args.budget if args.budget is not None else 10**9
-        cert = star_discrepancy_exact(ps, budget)
-        value, box, side = cert.value, cert.argmax_box, cert.closed_sided
-        kind = "exact"
-    elif args.method == "exact2d":
-        cert = star_discrepancy_exact_2d(ps)
-        value, box, side = cert.value, cert.argmax_box, cert.closed_sided
-        kind = "exact"
-    else:
-        budget = args.budget if args.budget is not None else 1000
-        value, box = star_discrepancy_lower_estimate(ps, budget, args.seed)
-        side = None
-        kind = "lower-bound"
+    cert = discrepancy.star_discrepancy(ps, args.method, args.budget, args.seed)
     print(f"method = {args.method}")
-    print(f"kind = {kind}")
-    print(f"value = {_f17(value)}")
-    print("box = " + " ".join(_f17(v) for v in box.upper))
-    if side is not None:
-        print(f"side = {'closed' if side else 'open'}")
+    print(f"kind = {cert.kind}")
+    print(f"value = {_f17(cert.value)}")
+    print("box = " + " ".join(_f17(v) for v in cert.argmax_box.upper))
+    if cert.closed_sided is not None:
+        print(f"side = {'closed' if cert.closed_sided else 'open'}")
     return 0
 
 
@@ -207,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stardisc", help="star discrepancy of a point set",
                        epilog=pointset_help)
     p.add_argument("--in", dest="infile", required=True, help="pointset path, '-' for stdin")
-    p.add_argument("--method", choices=harness.METHODS, default="exact")
+    p.add_argument("--method", choices=discrepancy.METHODS, default="exact")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="exact: grid-evaluation guard (default 1e9); "
                    "estimate: number of random boxes (default 1000)")

@@ -85,18 +85,26 @@ class AnchoredBox:
         return self.upper.shape[0]
 
 
+class MethodError(ValueError):
+    """Unknown method name, or a budget given to a method that takes none."""
+
+
 @dataclass(frozen=True)
 class DiscrepancyCertificate:
-    """Exact star discrepancy value with the box attaining it.
+    """Star discrepancy value, exact or a certified lower bound, and its box.
 
     closed_sided is True when the maximum is the limit of boxes shrinking
     onto the corner from above (closed counting), False when the corner
-    box itself attains it (open counting).
+    box itself attains it (open counting), and None for a lower bound.
     """
 
     value: float
     argmax_box: AnchoredBox
-    closed_sided: bool
+    closed_sided: bool | None
+
+    @property
+    def kind(self) -> str:
+        return "lower-bound" if self.closed_sided is None else "exact"
 
 
 def box_volume(box: AnchoredBox) -> float:
@@ -348,20 +356,12 @@ def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
 
 
 def star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCertificate:
-    """Exact star discrepancy via critical-grid enumeration.
+    """Exact star discrepancy via critical-grid enumeration (see the module).
 
-    Depth-first over all axes but the last two, filtering the points that
-    survive each prefix; the last two axes are a table of 2-D prefix counts
-    of the survivors, built and scored in blocks of about 16k corners, so
-    memory is O(N), not O(N^2).  A first pass bounds every block from its
-    first and last rows (monotone binary64 operations on counts that only
-    grow, so the bound is rigorous) and finds the floor, the best value of
-    the blocks' last rows; the second scores only the blocks whose bound
-    reaches the floor and exceeds the best value so far.  Ties go to the
-    lexicographically smallest corner, and the side is closed when the
-    closed surplus is at least the open deficiency there.  Raises
-    BudgetExceeded (reporting the required grid size) before doing any
-    work if the grid is too large.
+    Ties go to the lexicographically smallest corner, and the side is
+    closed when the closed surplus is at least the open deficiency there.
+    Raises BudgetExceeded (reporting the required grid size) before doing
+    any work if the grid has more than ``budget`` corners.
     """
     return _exact(ps, budget)
 
@@ -370,8 +370,7 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     """Exact star discrepancy in dimension 2 with no grid budget.
 
     The same kernel as star_discrepancy_exact, so results are bit-equal;
-    kept as its own entry point (and method name) for d = 2 without a
-    budget guard.
+    the ``exact2d`` method of star_discrepancy.
     """
     if ps.dim != 2:
         raise DimensionMismatch(f"specialization requires dim 2, got {ps.dim}")
@@ -472,3 +471,31 @@ def star_discrepancy_lower_estimate(
 
     assert scorer.box is not None
     return scorer.value, scorer.box
+
+
+METHODS = ("exact", "exact2d", "estimate")
+
+
+def star_discrepancy(ps: PointSet, method: str = "exact", budget: int | None = None,
+                     seed: int = 0, extra_boxes: Sequence[AnchoredBox] = ()
+                     ) -> DiscrepancyCertificate:
+    """Star discrepancy of ``ps`` by one of METHODS, as one certificate.
+
+    exact: ``budget`` guards the grid size (default 10**9).  exact2d: d = 2,
+    no budget.  estimate: a lower bound (``closed_sided`` None) from
+    ``extra_boxes``, then ``budget`` random corners (default 1000) drawn
+    from ``seed``.  Raises MethodError for an unknown method or a budget
+    given to exact2d.  Each kernel is looked up on this module at call
+    time, so a wrapper set on it sees the calls made through here.
+    """
+    if method == "exact":
+        return star_discrepancy_exact(ps, 10**9 if budget is None else budget)
+    if method == "exact2d":
+        if budget is not None:
+            raise MethodError(f"method exact2d takes no budget, got {budget}")
+        return star_discrepancy_exact_2d(ps)
+    if method == "estimate":
+        value, box = star_discrepancy_lower_estimate(
+            ps, 1000 if budget is None else budget, seed, extra_boxes)
+        return DiscrepancyCertificate(value, box, None)
+    raise MethodError(f"method must be one of {METHODS}, got {method!r}")

@@ -25,7 +25,6 @@ from .sampling import lhs_sample, uniform_sample
 from .witness import NoAdmissibleC, NotLatinWarning, PreconditionViolated
 
 KINDS = ("lhs", "uniform")
-METHODS = ("exact", "exact2d", "estimate")
 
 #: Theorem-1-style tail reference: P(D* <= c sqrt(d/N)) >= 1 - exp(-(Ac^2 - B) d).
 TAIL_COEFF_A = 1.6741
@@ -57,8 +56,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in discrepancy.METHODS:
+            raise ConfigError(f"method must be one of {discrepancy.METHODS}, got {self.method!r}")
         if self.N < 1 or self.d < 1:
             raise ConfigError(f"N and d must be positive, got {self.N} x {self.d}")
         if self.trials < 1:
@@ -92,6 +91,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in fields:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key in _CONFIG_PARSERS:
             try:
                 fields[key] = _CONFIG_PARSERS[key](value)
@@ -171,17 +172,6 @@ def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _measure_dstar(ps, config: ExperimentConfig, trial_seed: int, extra_boxes):
-    if config.method == "exact":
-        return discrepancy.star_discrepancy_exact(ps).value
-    if config.method == "exact2d":
-        return discrepancy.star_discrepancy_exact_2d(ps).value
-    value, _ = discrepancy.star_discrepancy_lower_estimate(
-        ps, config.estimate_budget, derive(trial_seed, "estimate"), extra_boxes
-    )
-    return value
-
-
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """Run all trials, recording the expected per-trial failures.
 
@@ -198,6 +188,7 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
         except (NoAdmissibleC, PreconditionViolated) as exc:
             slab_error = f"{type(exc).__name__}: {exc}"
 
+    budget = config.estimate_budget if config.method == "estimate" else None
     records: list[TrialRecord] = []
     for i in range(config.trials):
         t0 = time.perf_counter()
@@ -221,7 +212,8 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
             errors.append(slab_error)
 
         try:
-            record.dstar = _measure_dstar(ps, config, trial_seed, extra_boxes)
+            record.dstar = discrepancy.star_discrepancy(
+                ps, config.method, budget, derive(trial_seed, "estimate"), extra_boxes).value
         except discrepancy.BudgetExceeded as exc:
             errors.append(f"BudgetExceeded: {exc}")
         record.error = "; ".join(errors) if errors else None

@@ -105,11 +105,8 @@ class Stream:
         self._count += n
         return _mix64_block(np.uint64(self.seed) + _U_GAMMA * counters)
 
-    def next_uniform(self) -> float:
-        """Uniform double in [0, 1): 53 mantissa bits / 2**53, never 1.0."""
-        return (self.next_u64() >> 11) * _INV53
-
     def uniform_block(self, n: int) -> np.ndarray:
+        """Next ``n`` uniform doubles in [0, 1): 53 mantissa bits / 2**53, never 1.0."""
         return (self.u64_block(n) >> _U11).astype(np.float64) * _INV53
 
     def randbelow(self, bound: int) -> int:

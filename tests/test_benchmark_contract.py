@@ -34,3 +34,28 @@ def test_gated_workload_runs_one_unit(name):
     workload.round_start()
     assert workload.check(0, workload.unit(0))[0]
     assert workload.finish()[0]
+
+
+def traced_units(name, n_units):
+    rec = spans.Recorder()
+    workload = workloads.WORKLOADS[name](1)
+    workload.round_start()
+    with spans.installed(spans.patches(rec)):
+        outs = [workload.unit(i) for i in range(n_units)]
+    assert all(workload.check(i, out)[0] for i, out in enumerate(outs))
+    return rec
+
+
+def test_paper_2d_exact_kernel_span_fires_under_run_trials():
+    rec = traced_units("paper-2d-exact", 1)
+    (idx,) = [i for i, name in enumerate(rec.names) if name == "discrepancy.exact2d"]
+    assert rec.names[rec.parents[idx]] == "harness.run_trials"
+    assert dict(rec.counters)["discrepancy.exact2d.corners"] == 3201**2
+
+
+def test_stardisc_3d_kernel_spans_fire():
+    rec = traced_units("stardisc-3d", workloads.Stardisc3d.units_per_round)
+    assert rec.names.count("discrepancy.exact") == 2
+    assert rec.names.count("discrepancy.estimate") == 2
+    assert rec.counters["discrepancy.exact.corners"] == 2 * 129**3
+    assert rec.counters["discrepancy.estimate.boxes"] == 2 * (128 + 12000)

@@ -83,6 +83,17 @@ def test_stardisc_exact2d_requires_dim2(tmp_path, capsys):
     assert run(["stardisc", "--in", str(out), "--method", "exact2d"]) == 2
 
 
+def test_stardisc_exact2d_rejects_budget(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    run(["sample", "--kind", "lhs", "--n", "8", "--d", "2", "--seed", "1",
+         "--out", str(out)])
+    capsys.readouterr()
+    assert run(["stardisc", "--in", str(out), "--method", "exact2d", "--budget", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: method exact2d takes no budget, got 3\n"
+
+
 def test_stardisc_budget_guard(tmp_path):
     out = tmp_path / "p.txt"
     run(["sample", "--kind", "uniform", "--n", "50", "--d", "3", "--seed", "1",
@@ -146,7 +157,7 @@ def test_unexpected_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken_kernel(*args, **kwargs):
         raise ValueError("bug inside the kernel")
 
-    monkeypatch.setattr("lhsdisc.cli.star_discrepancy_exact", broken_kernel)
+    monkeypatch.setattr("lhsdisc.discrepancy.star_discrepancy_exact", broken_kernel)
     with pytest.raises(ValueError, match="bug inside the kernel"):
         run(["stardisc", "--in", str(out), "--method", "exact"])
 
@@ -235,6 +246,16 @@ def test_experiment_bad_config_exit_2(tmp_path):
     assert run(["experiment", "--config", str(config),
                 "--out-records", str(tmp_path / "r.csv"),
                 "--out-summary", str(tmp_path / "s.json")]) == 2
+
+
+def test_experiment_duplicate_key_exit_2(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(CONFIG + "N = 200\n")
+    assert run(["experiment", "--config", str(config),
+                "--out-records", str(tmp_path / "r.csv"),
+                "--out-summary", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == "error: line 9: duplicate key 'N'\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_experiment_without_any_result_exit_2(tmp_path, capsys):

@@ -10,11 +10,14 @@ from lhsdisc.discrepancy import (
     AnchoredBox,
     BudgetExceeded,
     DimensionMismatch,
+    DiscrepancyCertificate,
+    MethodError,
     box_volume,
     count_closed,
     count_open,
     excess,
     local_discrepancy,
+    star_discrepancy,
     star_discrepancy_exact,
     star_discrepancy_exact_2d,
     star_discrepancy_lower_estimate,
@@ -510,6 +513,72 @@ class TestLowerEstimateAgainstScalarEstimator:
     def test_extra_box_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             star_discrepancy_lower_estimate(pset([0.5, 0.5]), 1, extra_boxes=[box(0.5)])
+
+
+class TestDispatch:
+    """star_discrepancy against direct kernel calls, bit for bit."""
+
+    @staticmethod
+    def assert_dispatch_equal(cert, ref, kind):
+        assert_bit_equal(cert, ref)
+        assert cert.kind == ref.kind == kind
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_exact_methods(self, sampler, d):
+        for n in (1, 5, 24):
+            ps = sampler(n, d, derive(derive(d, n), "dispatch"))
+            self.assert_dispatch_equal(star_discrepancy(ps), star_discrepancy_exact(ps),
+                                       "exact")
+            self.assert_dispatch_equal(star_discrepancy(ps, "exact", budget=10**6),
+                                       star_discrepancy_exact(ps, 10**6), "exact")
+            if d == 2:
+                self.assert_dispatch_equal(star_discrepancy(ps, "exact2d"),
+                                           star_discrepancy_exact_2d(ps), "exact")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
+    def test_estimate(self, sampler, d):
+        for n in (1, 5, 40):
+            ps = sampler(n, d, derive(derive(d, n), "dispatch-estimate"))
+            extra = [AnchoredBox(np.full(d, 0.5)), AnchoredBox(ps.coords[0])]
+            for budget in (1, 7, 600):
+                for boxes in ((), extra):
+                    cert = star_discrepancy(ps, "estimate", budget, n + budget, boxes)
+                    value, found = star_discrepancy_lower_estimate(
+                        ps, budget, n + budget, boxes)
+                    self.assert_dispatch_equal(
+                        cert, DiscrepancyCertificate(value, found, None), "lower-bound")
+            value, found = star_discrepancy_lower_estimate(ps, 1000, 0)
+            self.assert_dispatch_equal(star_discrepancy(ps, "estimate"),
+                                       DiscrepancyCertificate(value, found, None),
+                                       "lower-bound")
+
+    @pytest.mark.parametrize("method,budget", [("exact2d", 3), ("sobol", None),
+                                               ("Exact", None)])
+    def test_method_errors(self, method, budget):
+        with pytest.raises(MethodError):
+            star_discrepancy(pset([0.5, 0.5]), method, budget)
+
+    def test_kernels_are_looked_up_at_call_time(self, monkeypatch):
+        ps = lhs_sample(8, 2, 3)
+        seen = []
+
+        def spy(name):
+            real = getattr(discrepancy, name)
+
+            def kernel(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(discrepancy, name, kernel)
+
+        for name in ("star_discrepancy_exact", "star_discrepancy_exact_2d",
+                     "star_discrepancy_lower_estimate"):
+            spy(name)
+        for method in discrepancy.METHODS:
+            star_discrepancy(ps, method)
+        assert seen == ["star_discrepancy_exact", "star_discrepancy_exact_2d",
+                        "star_discrepancy_lower_estimate"]
 
 
 def test_lhs_2d_pipeline_agreement():

@@ -20,6 +20,7 @@ from lhsdisc.harness import (
     verify_theorem1,
     verify_theorem2,
 )
+from lhsdisc.rng import derive
 from lhsdisc.witness import PreconditionViolated
 
 CONFIG_TEXT = """
@@ -61,6 +62,12 @@ class TestConfig:
             parse_config("kind = lhs\nN = many\n")
         with pytest.raises(ConfigError):
             parse_config(CONFIG_TEXT + "strict_witness = maybe\n")
+
+    def test_parse_rejects_duplicate_key(self):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'N'"):
+            parse_config("kind = lhs\nN = 100\nN = 200\n")
+        with pytest.raises(ConfigError, match="duplicate key 'c_values'"):
+            parse_config(CONFIG_TEXT + "c_values = 2\n")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -120,6 +127,29 @@ class TestRunTrials:
         for record in records:
             assert record.dstar is None
             assert "BudgetExceeded" in record.error
+
+    @pytest.mark.parametrize("method,kernel", [
+        ("exact", "star_discrepancy_exact"),
+        ("exact2d", "star_discrepancy_exact_2d"),
+        ("estimate", "star_discrepancy_lower_estimate"),
+    ])
+    def test_kernel_looked_up_at_call_time(self, monkeypatch, method, kernel):
+        import lhsdisc.discrepancy as discrepancy_module
+
+        real = getattr(discrepancy_module, kernel)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(discrepancy_module, kernel, spy)
+        config = small_config(trials=3, method=method, estimate_budget=5)
+        records = run_trials(config)
+        assert len(calls) == 3
+        if method == "estimate":
+            assert [args[1:3] for args in calls] == [
+                (5, derive(r.seed, "estimate")) for r in records]
 
     def test_estimate_method_uses_budget(self):
         config = small_config(method="estimate", estimate_budget=5)
