@@ -10,13 +10,11 @@ counting (x <= y).  Evaluating both sides on the grid therefore gives the
 exact supremum with no epsilon perturbation anywhere; coordinates are
 exact binary64 values and strict/non-strict comparisons are well defined.
 
-One exact kernel serves every dimension.  It recurses depth-first over all
-axes but the last two, keeping the points that survive each prefix of
-corner values (open: x < y, closed: x <= y).  Under each prefix the last two
-axes form a table of corners whose counts are 2-D prefix counts of the
-survivors; the table is built and scored in blocks of about 16k cells
-(at least one row), so it takes O(N) memory rather than O(N^2) (d = 1 is
-a table of one row).  Each corner's value is computed with the same
+One exact kernel serves every dimension.  It recurses depth-first over the
+leading axes (all but the last two), keeping the points that survive each
+prefix of corner values (open: x < y, closed: x <= y).  Under each prefix
+the last two axes form a table of corners whose counts are 2-D prefix
+counts of the survivors.  Each corner's value is computed with the same
 binary64 operations in the same order as a direct evaluation: volume
 ((1*a)*b)*c, then count/N - volume and volume - count/N.  Corners are
 visited in lexicographic order and the best value is replaced only by a
@@ -24,19 +22,27 @@ strictly larger one, so the reported box is the lexicographically
 smallest maximizer; it is closed-sided when its closed surplus is at
 least its open deficiency.
 
-Each table takes two passes over its blocks of rows.  The first computes,
-per block, an upper bound on its cells from the closed counts of its last
-row with the volumes of its first row, and the volumes of its last row
-with the open counts of the row above it; counts only grow down the rows
-and along them, and division by N, products of non-negative numbers and
-a - b are monotone under round-to-nearest, so the bound holds in binary64.
-It also computes the exact values of every block's last row; their
-maximum, the floor, is attained by some corner.  The second pass scores a
-block only if its bound is at least the floor and above the best value so
-far.  A skipped block holds no corner above the floor or the best value,
-so it cannot hold the first strict maximum, and the result is the one the
-full scan gives.  A block whose bound equals the floor is scored, as an
-earlier corner may tie with the floor.
+For d >= 3 the last leading axis steps up its grid with one closed-count
+and one open-count table of grid_u x grid_v cells: a step adds only the
+points on one grid value, each as +1 on a quadrant of cells, and every
+table is scored in full.  This takes O(grid_u * grid_v) memory: five
+float64 tables of that shape (40 B per cell), reused by every table.
+
+For d <= 2 there is one table (d = 1 is a table of one row), built and
+scored in blocks of about 16k cells (at least one row), so it takes O(N)
+memory rather than O(N^2).  It takes two passes over its blocks of rows.
+The first computes, per block, an upper bound on its cells from the
+closed counts of its last row with the volumes of its first row, and the
+volumes of its last row with the open counts of the row above it; counts
+only grow down the rows and along them, and division by N, products of
+non-negative numbers and a - b are monotone under round-to-nearest, so
+the bound holds in binary64.  It also computes the exact values of every
+block's last row; their maximum, the floor, is attained by some corner.
+The second pass scores a block only if its bound is at least the floor
+and above the best value so far.  A skipped block holds no corner above
+the floor or the best value, so it cannot hold the first strict maximum,
+and the result is the one the full scan gives.  A block whose bound
+equals the floor is scored, as an earlier corner may tie with the floor.
 """
 
 from __future__ import annotations
@@ -151,30 +157,25 @@ def _grids(coords: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-#: Cells per block of the prefix-count table (a block is at least one row).
-#: With rows of up to this many cells the block buffers (closed counts, open
-#: counts and volumes, float64) take 384 KiB, and a block's few dozen numpy
-#: calls are spread over enough cells.
+#: Cells per block of the d <= 2 prefix-count table (a block is at least one
+#: row).  With rows of up to this many cells the block buffers (closed
+#: counts, open counts and volumes, float64) take 384 KiB, and a block's few
+#: dozen numpy calls are spread over enough cells.
 _BLOCK_CELLS = 16384
 
 
 class _ExactKernel:
     """One exact computation: prefixes of the leading axes, then tables.
 
-    A table row holds the closed counts of the row's corners, then their
-    open counts.  A point is kept as the flat index of the cell from which
-    on it counts: closed from its own grid index on each of the last two
-    axes, open from the next one.  Rows are cut into blocks; a block's
-    counts are ``carry`` (per column, the points in the rows above it) plus
-    its own points, cumulated down the rows and then across the columns.
+    A table holds, per corner of the last two axes, the closed count and the
+    open count of the points that survive the prefix.  A point counts in
+    the closed table from its own grid index on each of the last two axes,
+    and in the open table from the next one.  ``tables`` counts the tables
+    scored, the product of the leading grid sizes.
 
-    Each table takes two passes.  Pass 1 (``_bounds``) computes, for every
-    block, an upper bound on its cells and the exact values of its last
-    row; the largest of those, the floor, is a value some cell attains.
-    Pass 2 scores a block only if its bound is at least the floor and
-    above the best value so far; any other block holds no cell that could
-    become the first strict maximum.  ``blocks_seen`` and
-    ``blocks_scored`` count the blocks of every table and those scored.
+    d <= 2 is one table, built and scored in blocks of rows (``_blocked``);
+    ``blocks_seen`` and ``blocks_scored`` count its blocks and those scored.
+    d >= 3 steps the last leading axis up its grid (``_steps``).
     """
 
     def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
@@ -182,36 +183,34 @@ class _ExactKernel:
         self.grids = grids
         self.n = coords.shape[0]
         self.grid_u, self.grid_v = grids[-2], grids[-1]
-        n_rows, n_cols = len(self.grid_u), len(self.grid_v)
-        self.width = 2 * n_cols
-        self.block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
-        self.edges = list(range(0, n_rows, self.block_rows)) + [n_rows]
-        self.first_rows = np.array(self.edges[:-1])
-        self.last_rows = np.array(self.edges[1:]) - 1
-        self.edge_cells = np.array(self.edges) * self.width
         u, v = coords[:, -2], coords[:, -1]
-        self.closed_cells = (np.searchsorted(self.grid_u, u, "left") * self.width
-                             + np.searchsorted(self.grid_v, v, "left"))
-        self.open_cells = (np.searchsorted(self.grid_u, u, "right") * self.width + n_cols
-                           + np.searchsorted(self.grid_v, v, "right"))
-        self.counts = np.empty((self.block_rows, 2, n_cols))
-        self.vols = np.empty((self.block_rows, n_cols))
-        self.carry = np.empty(self.width)
-        self.hit = np.empty(self.width, dtype=bool)
+        self.closed_rows = np.searchsorted(self.grid_u, u, "left")
+        self.closed_cols = np.searchsorted(self.grid_v, v, "left")
+        self.open_rows = np.searchsorted(self.grid_u, u, "right")
+        self.open_cols = np.searchsorted(self.grid_v, v, "right")
         self.value = -np.inf
         self.upper: list[float] = []
         self.closed = False
+        self.tables = 0
         self.blocks_seen = 0
         self.blocks_scored = 0
 
     def run(self) -> None:
+        if len(self.grids) == 2:
+            self._blocked()
+            return
+        axis = len(self.grids) - 3
+        self.steps = np.searchsorted(self.grids[axis], self.coords[:, axis])
+        shape = (len(self.grid_u), len(self.grid_v))
+        self.closed_t, self.open_t, self.d_plus, self.d_minus, self.vols = (
+            np.empty(shape) for _ in range(5))
         every = np.arange(self.n)
         self._prefixes(0, every, every, 1.0, [])
 
     def _prefixes(self, axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
                   vol_prefix: float, prefix: list[float]) -> None:
-        if axis == len(self.grids) - 2:
-            self._table(open_idx, closed_idx, vol_prefix, prefix)
+        if axis == len(self.grids) - 3:
+            self._steps(open_idx, closed_idx, vol_prefix, prefix)
             return
         open_col = self.coords[open_idx, axis]
         closed_col = self.coords[closed_idx, axis]
@@ -222,13 +221,86 @@ class _ExactKernel:
                            vol_prefix * y,
                            prefix + [float(y)])
 
-    def _table(self, open_idx: np.ndarray, closed_idx: np.ndarray, vol_prefix: float,
+    def _steps(self, open_idx: np.ndarray, closed_idx: np.ndarray, vol_prefix: float,
                prefix: list[float]) -> None:
-        cells = np.concatenate((self.closed_cells[closed_idx], self.open_cells[open_idx]))
+        """d >= 3: the tables of the last leading axis, one grid value at a time.
+
+        At grid value g[k] the closed table holds the points whose
+        coordinate is at most g[k], and the open table those below g[k],
+        which are those at most g[k-1]: no coordinate lies strictly between
+        two grid values.  So a step adds to the closed table the points on
+        g[k] and to the open table the points on g[k-1], each as +1 on the
+        quadrant of cells from which it counts.  The two tables and the
+        three score buffers are float64 of grid_u x grid_v cells and are
+        reused by every step and prefix: 40 B per cell in all, and numpy's
+        fixed-size ufunc buffers besides.
+        """
+        # (step, table, row, col): when a point is added, where it counts from.
+        adds = sorted(
+            [(k, 0, r, c) for k, r, c in zip(self.steps[closed_idx].tolist(),
+                                             self.closed_rows[closed_idx].tolist(),
+                                             self.closed_cols[closed_idx].tolist())]
+            + [(k + 1, 1, r, c) for k, r, c in zip(self.steps[open_idx].tolist(),
+                                                   self.open_rows[open_idx].tolist(),
+                                                   self.open_cols[open_idx].tolist())])
+        tables = (self.closed_t, self.open_t)
+        for table in tables:
+            table.fill(0.0)
+        i = 0
+        for k, y in enumerate(self.grids[len(self.grids) - 3]):
+            while i < len(adds) and adds[i][0] == k:
+                _, t, r, c = adds[i]
+                tables[t][r:, c:] += 1.0
+                i += 1
+            self._score_tables(vol_prefix * y, prefix + [float(y)])
+
+    def _score_tables(self, vol_prefix: float, prefix: list[float]) -> None:
+        """Every cell of the step tables; keeps the first strict maximum."""
+        d_plus, d_minus, vols = self.d_plus, self.d_minus, self.vols
+        np.multiply((vol_prefix * self.grid_u)[:, None], self.grid_v, out=vols)
+        np.divide(self.closed_t, self.n, out=d_plus)
+        np.subtract(d_plus, vols, out=d_plus)
+        np.divide(self.open_t, self.n, out=d_minus)
+        np.subtract(vols, d_minus, out=d_minus)
+        self._keep(np.maximum(d_plus, d_minus, out=vols).reshape(-1), d_plus, d_minus, 0,
+                   prefix)
+        self.tables += 1
+
+    def _keep(self, cand: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray, r0: int,
+              prefix: list[float]) -> None:
+        """Keeps the first strict maximum of ``cand``, cells of rows r0 on."""
+        i = int(cand.argmax())
+        if cand[i] > self.value:
+            r, c = divmod(i, len(self.grid_v))
+            self.value = float(cand[i])
+            self.upper = prefix + [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
+            self.closed = bool(d_plus[r, c] >= d_minus[r, c])
+
+    def _blocked(self) -> None:
+        """d <= 2: the one table, in blocks of rows and two passes (see the module).
+
+        A table row holds the closed counts of the row's corners, then their
+        open counts, and a point is kept as the flat index of the cell from
+        which on it counts.  A block's counts are ``carry`` (per column, the
+        points in the rows above it) plus its own points, cumulated down the
+        rows and then across the columns.
+        """
+        n_rows, n_cols = len(self.grid_u), len(self.grid_v)
+        self.width = 2 * n_cols
+        self.block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
+        self.edges = list(range(0, n_rows, self.block_rows)) + [n_rows]
+        self.first_rows = np.array(self.edges[:-1])
+        self.last_rows = np.array(self.edges[1:]) - 1
+        self.counts = np.empty((self.block_rows, 2, n_cols))
+        self.vols = np.empty((self.block_rows, n_cols))
+        self.carry = np.empty(self.width)
+        self.hit = np.empty(self.width, dtype=bool)
+        cells = np.concatenate((self.closed_rows * self.width + self.closed_cols,
+                                self.open_rows * self.width + n_cols + self.open_cols))
         cells.sort()
-        cuts = np.searchsorted(cells, self.edge_cells).tolist()
+        cuts = np.searchsorted(cells, np.array(self.edges) * self.width).tolist()
         cols = cells % self.width
-        row_vol = vol_prefix * self.grid_u
+        row_vol = self.grid_u  # the empty prefix has volume 1, and 1 * u == u
         bounds, floor = self._bounds(cols, cuts, row_vol)
         self.blocks_seen += len(bounds)
         self.carry.fill(0.0)
@@ -240,9 +312,10 @@ class _ExactKernel:
                 continue
             if carried != r0:
                 self.carry[:] = np.bincount(cols[:lo], minlength=self.width)
-            self._score(r0, r1, cells[lo:hi] - r0 * self.width, row_vol, prefix)
+            self._score(r0, r1, cells[lo:hi] - r0 * self.width, row_vol)
             carried = r1
             self.blocks_scored += 1
+        self.tables += 1
 
     def _bounds(self, cols: np.ndarray, cuts: list[int],
                 row_vol: np.ndarray) -> tuple[np.ndarray, float]:
@@ -295,8 +368,7 @@ class _ExactKernel:
             floor = max(floor, np.maximum.reduce(opened, axis=None))
         return bounds, float(floor)
 
-    def _score(self, r0: int, r1: int, cells: np.ndarray, row_vol: np.ndarray,
-               prefix: list[float]) -> None:
+    def _score(self, r0: int, r1: int, cells: np.ndarray, row_vol: np.ndarray) -> None:
         """Pass 2: every cell of the block [r0, r1); keeps the first strict maximum."""
         m = r1 - r0
         counts = self.counts[:m]
@@ -309,13 +381,7 @@ class _ExactKernel:
         np.multiply(row_vol[r0:r1, None], self.grid_v, out=vols)
         np.subtract(d_plus, vols, out=d_plus)
         np.subtract(vols, d_minus, out=d_minus)
-        cand = np.maximum(d_plus, d_minus, out=vols).reshape(-1)
-        i = int(cand.argmax())
-        if cand[i] > self.value:
-            r, c = divmod(i, len(self.grid_v))
-            self.value = float(cand[i])
-            self.upper = prefix + [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
-            self.closed = bool(d_plus[r, c] >= d_minus[r, c])
+        self._keep(np.maximum(d_plus, d_minus, out=vols).reshape(-1), d_plus, d_minus, r0, [])
 
     def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
         """Carry plus the block's points (flat cells), cumulated down the rows."""

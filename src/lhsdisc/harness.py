@@ -66,6 +66,12 @@ class ExperimentConfig:
             raise ConfigError("method exact2d requires d = 2")
         if self.estimate_budget < 1:
             raise ConfigError("estimate_budget must be >= 1")
+        if not all(math.isfinite(c) and c > 0 for c in self.c_values):
+            raise ConfigError(f"c_values must be finite and positive, got {self.c_values}")
+        keys = [format(c, ".6g") for c in self.c_values]
+        if len(set(keys)) != len(keys):
+            # The summary keys its per-c entries by these 6-digit forms.
+            raise ConfigError(f"c_values must differ in 6 significant digits, got {keys}")
 
 
 _CONFIG_PARSERS = {

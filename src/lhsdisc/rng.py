@@ -145,9 +145,13 @@ class Stream:
         Which bound an output is tested against depends on every rejection
         before it, so the state (the position in the cycle) of each output
         of a chunk comes from an inclusive scan that composes the per-output
-        state maps, doubling the span each pass (Hillis-Steele).  Only the
-        outputs up to the last acceptance used are consumed.
+        state maps, doubling the span each pass (Hillis-Steele).  When every
+        bound is equal, acceptance does not depend on the state: the cycle
+        collapses to one state, every state is 0 and no scan is needed.
+        Only the outputs up to the last acceptance used are consumed.
         """
+        if len(set(bounds)) == 1:
+            bounds = bounds[:1]
         p = len(bounds)
         bound = np.array(bounds, dtype=np.uint64)
         mask = np.array([(1 << (b - 1).bit_length()) - 1 for b in bounds], dtype=np.uint64)
@@ -160,25 +164,27 @@ class Stream:
             m = min(need * 9 // 4 + 64, chunk)
             values = self.u64_block(m)[:, None] & mask  # (m, p): as drawn in each state
             accept = values < bound
-            # maps[j, s]: the state after output j when it is drawn in state s;
-            # the scan makes it the state after outputs 0..j from state s.
-            maps = (np.arange(p) + accept) % p
-            flat = maps.reshape(-1)
-            offsets = np.arange(0, m * p, p)[:, None]
-            span = 1
-            while span < m:
-                maps[span:] = flat[maps[:-span] + offsets[span:]]
-                span *= 2
-            states = np.empty(m, dtype=np.intp)
-            states[0] = state
-            states[1:] = maps[:-1, state]
-            hits = np.flatnonzero(accept[np.arange(m), states])
+            if p > 1:
+                # maps[j, s]: the state after output j when it is drawn in state
+                # s; the scan makes it the state after outputs 0..j from state s.
+                maps = (np.arange(p) + accept) % p
+                flat = maps.reshape(-1)
+                offsets = np.arange(0, m * p, p)[:, None]
+                span = 1
+                while span < m:
+                    maps[span:] = flat[maps[:-span] + offsets[span:]]
+                    span *= 2
+                states = np.empty(m, dtype=np.intp)
+                states[0] = state
+                states[1:] = maps[:-1, state]
+                state = int(maps[-1, state])
+                drawn = (np.arange(m), states)  # each output in its own state
+                values, accept = values[drawn], accept[drawn]
+            hits = np.flatnonzero(accept)
             if hits.size >= need:
                 hits = hits[:need]
                 self._count = start + int(hits[-1]) + 1
-            else:
-                state = int(maps[-1, state])
-            parts.append(values[hits, states[hits]])
+            parts.append(values.reshape(-1)[hits])
             need -= hits.size
         return np.concatenate(parts).astype(np.int64)
 

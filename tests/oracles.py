@@ -177,6 +177,28 @@ def reference_star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> Discr
     return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
 
 
+def corner_by_corner_star_discrepancy(ps: PointSet) -> DiscrepancyCertificate:
+    """Exact star discrepancy, one critical-grid corner at a time (tiny sets).
+
+    Corners in lexicographic order (itertools.product), each valued with
+    the public counting functions: the closed surplus count_closed/N - vol
+    and the open deficiency vol - count_open/N.  The first strictly larger
+    value wins, and the side is closed when the surplus is at least the
+    deficiency.
+    """
+    n = ps.n_points
+    best = _Best()
+    for corner in itertools.product(*_grids(ps.coords)):
+        box = AnchoredBox(np.array(corner))
+        vol = box_volume(box)
+        d_plus = count_closed(ps, box) / n - vol
+        d_minus = vol - count_open(ps, box) / n
+        cand = max(d_plus, d_minus)
+        if cand > best.value:
+            best.value, best.upper, best.closed = cand, list(corner), d_plus >= d_minus
+    return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
+
+
 def reference_star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     """Exact star discrepancy in dimension 2, O(N^2) time and O(N) memory.
 

@@ -59,6 +59,21 @@ def test_stardisc_stdout_bytes_pinned(tmp_path, capsys, argv, expected):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["--method", "exact"], "method = exact\nkind = exact\nvalue = 0.24048657324154216\n"
+     "box = 0.96143145721625911 0.41238530949213525 0.81673662188402296\nside = open\n"),
+    (["--method", "estimate", "--budget", "600"],
+     "method = estimate\nkind = lower-bound\nvalue = 0.20999112223037603\n"
+     "box = 0.87088950686413302 0.41238530949213525 0.81673662188402296\n"),
+], ids=["exact", "estimate-budget"])
+def test_stardisc_3d_stdout_bytes_pinned(tmp_path, capsys, argv, expected):
+    out = tmp_path / "p.txt"
+    assert run(["sample", "--kind", "lhs", "--n", "12", "--d", "3", "--seed", "1",
+                "--out", str(out)]) == 0
+    assert run(["stardisc", "--in", str(out)] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_sample_to_stdout_and_stardisc_from_stdin(capsys, monkeypatch):
     assert run(["sample", "--kind", "uniform", "--n", "4", "--d", "1",
                 "--seed", "3", "--out", "-"]) == 0
@@ -256,6 +271,20 @@ def test_experiment_duplicate_key_exit_2(tmp_path, capsys):
                 "--out-summary", str(tmp_path / "s.json")]) == 2
     assert capsys.readouterr().err == "error: line 9: duplicate key 'N'\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("c_values,message", [
+    ("nan, -1, inf", "c_values must be finite and positive, got (nan, -1.0, inf)"),
+    ("1, 1.0000001", "c_values must differ in 6 significant digits, got ['1', '1']"),
+])
+def test_experiment_bad_c_values_exit_2(tmp_path, capsys, c_values, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(CONFIG.replace("c_values = 3, 4", f"c_values = {c_values}"))
+    assert run(["experiment", "--config", str(config),
+                "--out-records", str(tmp_path / "r.csv"),
+                "--out-summary", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_experiment_without_any_result_exit_2(tmp_path, capsys):

@@ -27,6 +27,7 @@ from lhsdisc.rng import Stream, derive
 from lhsdisc.sampling import lhs_sample, uniform_sample
 
 from oracles import (
+    corner_by_corner_star_discrepancy,
     dense_grid_star_discrepancy,
     reference_star_discrepancy_exact,
     reference_star_discrepancy_exact_2d,
@@ -346,10 +347,13 @@ class TestBoundAndSkip:
         check_against_replaced_kernels(ps)
 
     @pytest.mark.parametrize("n,m", [(600, 200), (400, 256)])
-    def test_3d_lattice_tables_of_three_or_more_blocks(self, n, m):
-        # About 200 columns per table: three blocks of rows, with ties.
+    def test_3d_lattice_steps_of_several_points(self, n, m):
+        # About 200 grid values per axis: each step of the leading axis adds
+        # several points to each table, with ties on every axis.
         ps = lattice_pointset(Stream(derive(85, f"skip-lattice-{n}-{m}")), n, 3, m)
-        assert len(run_kernel(ps).edges) - 1 >= 3
+        lead = np.unique(ps.coords[:, 0], return_counts=True)[1]
+        assert lead.max() >= 3
+        assert run_kernel(ps).tables == lead.size + 1
         check_against_replaced_kernels(ps)
 
     @pytest.mark.parametrize("d,sizes", [(1, (1, 2, 5, 100, 1000, 20000)), (4, (1, 3, 9, 14))])
@@ -368,12 +372,106 @@ class TestBoundAndSkip:
             assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
 
     def test_counters_are_deterministic(self):
+        # d >= 3 scores one table per corner of the leading axes.
         ps = lhs_sample(128, 3, seed=derive(88, "counters"))
         first, second = run_kernel(ps), run_kernel(ps)
-        # 129 tables of 129 x 129 corners, each two blocks of rows.
-        assert first.blocks_seen == second.blocks_seen == 129 * 2
-        assert first.blocks_scored == second.blocks_scored
-        assert 0 < first.blocks_scored <= first.blocks_seen
+        assert first.tables == second.tables == 129
+        assert run_kernel(uniform_sample(12, 4, derive(88, "counters-4d"))).tables == 13 * 13
+
+
+class _RecordingKernel(discrepancy._ExactKernel):
+    """The kernel, recording the maximum of every table it scores."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.maxima = []
+
+    def _keep(self, cand, *args):
+        self.maxima.append(float(cand.max()))
+        super()._keep(cand, *args)
+
+
+def table_maxima(ps):
+    kernel = _RecordingKernel(ps.coords, discrepancy._grids(ps.coords))
+    kernel.run()
+    return kernel.maxima
+
+
+class TestSteppedTables:
+    """d >= 3: tables stepped up the last leading axis, bit-equal (value,
+    box bytes, side) to the replaced kernel and to a corner-by-corner
+    evaluation."""
+
+    @staticmethod
+    def check(ps):
+        check_against_replaced_kernels(ps)
+        if ps.n_points <= 12:
+            assert_bit_equal(star_discrepancy_exact(ps), corner_by_corner_star_discrepancy(ps))
+        leading = discrepancy._grids(ps.coords)[:-2]
+        assert run_kernel(ps).tables == np.prod([len(g) for g in leading])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_points_sharing_one_leading_coordinate(self, d):
+        stream = Stream(derive(96, f"shared-{d}"))
+        for n in (2, 7, 12, 40):
+            for shared in (2, n // 2 + 1, n):  # n: every point on one value
+                coords = stream.uniform_block(n * d).reshape(n, d)
+                coords[:shared, d - 3] = coords[0, d - 3]
+                self.check(PointSet(coords))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_leading_coordinate_zero(self, d):
+        stream = Stream(derive(97, f"zero-{d}"))
+        for n in (1, 5, 12, 40):
+            for zeros in (1, n // 2 + 1, n):
+                coords = stream.uniform_block(n * d).reshape(n, d)
+                coords[:zeros, d - 3] = 0.0
+                self.check(PointSet(coords))
+                coords[:zeros] = 0.0
+                self.check(PointSet(coords))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_point(self, d):
+        stream = Stream(derive(98, f"one-{d}"))
+        for corner in (np.zeros(d), np.full(d, 0.5), stream.uniform_block(d),
+                       np.array([0.0, 0.75, 0.0, 0.25][:d])):
+            self.check(PointSet(corner.reshape(1, d)))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_coarse_lattices_tie_across_consecutive_tables(self, d):
+        # A corner with u = 0 (the first of the last two axes) has volume 0
+        # in every table, so once the leading axis has passed all of its
+        # points its value repeats in the next tables.
+        stream = Stream(derive(99, f"ties-{d}"))
+        crossed = 0
+        for m in (2, 3, 4):
+            for n in (4, 9, 24):
+                for share in (n // 2, 3 * n // 4, n):
+                    coords = lattice_pointset(stream, n, d, m).coords.copy()
+                    coords[:share, d - 2] = 0.0
+                    ps = PointSet(coords)
+                    self.check(ps)
+                    maxima = table_maxima(ps)
+                    top = max(maxima)
+                    crossed += any(a == b == top for a, b in zip(maxima, maxima[1:]))
+        # For several sets the maximum is attained in two consecutive
+        # tables, and the first of them must give the box.
+        assert crossed >= 5
+
+    @pytest.mark.parametrize("n", [128, 400])
+    def test_table_memory_is_bounded_and_released(self, n):
+        # The docstring's bound: five float64 tables of grid_u x grid_v
+        # cells, plus numpy's fixed-size ufunc buffers (about 140 KiB).
+        ps = lhs_sample(n, 3, seed=derive(100, n))
+        star_discrepancy_exact(pset([0.5, 0.5, 0.5]))  # first-call imports
+        tracemalloc.start()
+        try:
+            star_discrepancy_exact(ps)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * (n + 1) ** 2 * 8 + (1 << 18)
+        assert current < 1 << 16
 
 
 class TestLowerEstimate:

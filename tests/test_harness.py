@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate key 'c_values'"):
             parse_config(CONFIG_TEXT + "c_values = 2\n")
 
+    @pytest.mark.parametrize("c_values", ["nan", "-1", "0", "inf", "3, nan",
+                                          "1, 1.0000001", "3, 3", "2, 2.0000004"])
+    def test_parse_rejects_c_values_the_summary_cannot_key(self, c_values):
+        # Non-finite values would be written as NaN / Infinity (not JSON),
+        # and values with equal 6-digit keys would overwrite a per-c entry.
+        with pytest.raises(ConfigError, match="c_values must"):
+            parse_config(CONFIG_TEXT.replace("c_values = 1, 3, 4", f"c_values = {c_values}"))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             small_config(kind="sobol")

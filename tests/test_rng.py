@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lhsdisc import rng
 from lhsdisc.rng import Stream, derive, mix64
 
 
@@ -98,6 +99,36 @@ def test_randbelow_rows_across_scan_chunks():
     a, b = Stream(6), Stream(6)
     assert a.randbelow_rows([65], 70000).tolist() == scalar_rows(b, [65], 70000)
     assert a._count == b._count
+
+
+def assert_rows_match_scalar_calls(seed, calls):
+    a, b = Stream(seed), Stream(seed)
+    for bounds, rows in calls:
+        assert a.randbelow_rows(bounds, rows).tolist() == scalar_rows(b, bounds, rows)
+        assert a._count == b._count
+
+
+def test_randbelow_rows_equal_bounds_across_scan_chunks():
+    # Equal bounds are one cycle state: a scan chunk is _SCAN_CELLS outputs.
+    # 30000 rows of 3 take about 180k outputs, and the first chunk's
+    # acceptances do not fill whole rows, so it ends mid-row.
+    first = Stream(12).u64_block(rng._SCAN_CELLS) & np.uint64(255)
+    assert np.count_nonzero(first < 129) % 3 != 0
+    assert_rows_match_scalar_calls(12, [([129, 129, 129], 30000)])
+
+
+@pytest.mark.parametrize("bounds", [[129, 1, 129], [64, 64]])
+def test_randbelow_rows_equal_bounds(bounds):
+    # A bound of 1 draws nothing, so [129, 1, 129] is the one state of 129;
+    # with bound 64 no output is rejected.
+    for seed in (0, 13):
+        assert_rows_match_scalar_calls(seed, [(bounds, rows) for rows in (1, 5, 700, 9000)])
+
+
+def test_randbelow_rows_equal_then_unequal_bounds():
+    assert_rows_match_scalar_calls(14, [([129, 129, 129], 4000), ([129, 65, 129], 4000),
+                                        ([65, 65], 3000), ([2, 129], 10),
+                                        ([129, 129, 129], 7)])
 
 
 def test_randbelow_rows_edge_cases():
