@@ -443,9 +443,13 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     return _exact(ps, None)
 
 
-#: Point x corner cells per block of the lower estimate (two bool buffers
-#: of 64 KiB each); a block is at least one corner.
-_ESTIMATE_CELLS = 1 << 16
+#: Points per chunk of the lower estimate's bitsets: 64 uint64 words.
+_CHUNK_POINTS = 4096
+
+#: uint64 words per block buffer of the lower estimate (64 KiB): a block of
+#: corners fills it with their open and closed rows of one chunk, and is at
+#: least one corner.
+_ESTIMATE_WORDS = 1 << 13
 
 
 class _CornerScorer:
@@ -454,42 +458,96 @@ class _CornerScorer:
     A corner's value is the larger of its open evaluation |open/N - vol|
     and its closed-limit surplus closed/N - vol, each a valid lower bound
     for the star discrepancy.  The volume is the left-to-right product of
-    the corner's components, and the counts come from one broadcast
-    comparison per axis into the block buffers, so every value is the
-    binary64 result a corner-by-corner evaluation gives.
+    the corner's components, so every value is the binary64 result a
+    corner-by-corner evaluation gives.
+
+    The counts are exact integers read from per-axis cumulative bitsets.
+    On axis j the points a corner holds are those whose grid index on that
+    axis is below a row t: row k for the open count at grid index k, row
+    min(k + 1, distinct values) for the closed one.  The points are split
+    into chunks of at most 4096, one bit per point.  Per chunk and axis,
+    row i of a uint64 table holds the chunk's first i points in grid index
+    order, and a rank map (the number of the chunk's points below each
+    row) turns a row into a table row; the map is left out where it is the
+    identity, that is where every grid value but 1.0 is the coordinate of
+    exactly one of the chunk's points.  A count is the popcount of the AND
+    of one table row per axis, summed over the chunks.  The tables take
+    about d * N * min(N, 4096) / 8 bytes and the rank maps 2 * d * (N + 1)
+    bytes per chunk; the two block buffers take 64 KiB each.
     """
 
     def __init__(self, coords: np.ndarray):
         self.n = coords.shape[0]
-        self.columns = coords.T.copy()
-        self.rows = max(1, _ESTIMATE_CELLS // self.n)
-        self.inside = np.empty((self.rows, self.n), dtype=bool)
-        self.axis_in = np.empty((self.rows, self.n), dtype=bool)
+        self.grids = []
+        #: Per point and axis, the grid index of its coordinate.
+        self.ranks = np.empty(coords.shape, dtype=np.intp)
+        for j, column in enumerate(coords.T):
+            values, self.ranks[:, j] = np.unique(column, return_inverse=True)
+            self.grids.append(np.append(values, 1.0))
+        self.top = np.array([len(g) - 1 for g in self.grids])
+        self.chunks = [self._chunk(self.ranks[s:s + _CHUNK_POINTS])
+                       for s in range(0, self.n, _CHUNK_POINTS)]
+        words = self.chunks[0][0][0].shape[1]
+        #: Corners per block: their open and closed rows of a chunk fill
+        #: the block buffers.
+        self.block = max(1, _ESTIMATE_WORDS // (2 * words))
+        self.hit = np.empty(2 * self.block * words, dtype=np.uint64)
+        self.axis_hit = np.empty_like(self.hit)
         self.value = -np.inf
         self.box: AnchoredBox | None = None
 
-    def offer(self, corners: np.ndarray, boxes: Sequence[AnchoredBox] | None = None) -> None:
-        """Score up to ``self.rows`` corners; ``boxes`` are their own boxes."""
+    def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per axis, the cumulative table of ``ranks``' points and its rank map."""
+        size = ranks.shape[0]
+        pos = np.arange(size)
+        word = pos >> 6
+        bit = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+        out = []
+        for rank, top in zip(ranks.T, self.top):
+            order = np.argsort(rank)
+            table = np.zeros((size + 1, word[-1] + 1), dtype=np.uint64)
+            table[pos + 1, word[order]] = bit[order]
+            np.bitwise_or.accumulate(table, axis=0, out=table)
+            per_rank = np.bincount(rank, minlength=top)
+            rank_map = None
+            if size < top or per_rank.max() > 1:
+                rank_map = np.concatenate(([0], per_rank.cumsum())).astype(np.int16)
+            out.append((table, rank_map))
+        return out
+
+    def rows_of(self, corners: np.ndarray, side: str) -> np.ndarray:
+        """Per corner and axis, the open (``side="left"``) or closed
+        (``"right"``) row of arbitrary corner values."""
+        return np.column_stack([np.searchsorted(g[:-1], corners[:, j], side)
+                                for j, g in enumerate(self.grids)])
+
+    def offer(self, corners: np.ndarray, open_rows: np.ndarray, closed_rows: np.ndarray,
+              boxes: Sequence[AnchoredBox] | None = None) -> None:
+        """Score up to ``self.block`` corners given their open and closed
+        rows; ``boxes`` are their own boxes."""
+        m = corners.shape[0]
+        rows = np.concatenate((open_rows.T, closed_rows.T), axis=1)
+        count = 0
+        for chunk in self.chunks:
+            size = 2 * m * chunk[0][0].shape[1]
+            hit = self.hit[:size].reshape(2 * m, -1)
+            axis_hit = self.axis_hit[:size].reshape(2 * m, -1)
+            for j, (table, rank_map) in enumerate(chunk):
+                t = rows[j] if rank_map is None else rank_map.take(rows[j])
+                table.take(t, axis=0, out=axis_hit if j else hit)
+                if j:
+                    hit &= axis_hit
+            count = count + np.bitwise_count(hit).sum(axis=1)
         vol = corners[:, 0].copy()
         for j in range(1, corners.shape[1]):
             vol *= corners[:, j]
-        open_val = np.abs(self._inside(np.less, corners) / self.n - vol)
-        closed_val = self._inside(np.less_equal, corners) / self.n - vol
+        open_val = np.abs(count[:m] / self.n - vol)
+        closed_val = count[m:] / self.n - vol
         cand = np.maximum(closed_val, open_val, out=vol)
         i = int(cand.argmax())
         if cand[i] > self.value:
             self.value = float(cand[i])
             self.box = boxes[i] if boxes is not None else AnchoredBox(corners[i])
-
-    def _inside(self, compare, corners: np.ndarray) -> np.ndarray:
-        """Per corner, the points with ``compare(x_j, y_j)`` on every axis."""
-        m = corners.shape[0]
-        inside, axis_in = self.inside[:m], self.axis_in[:m]
-        compare(self.columns[0], corners[:, :1], out=inside)
-        for j in range(1, corners.shape[1]):
-            compare(self.columns[j], corners[:, j:j + 1], out=axis_in)
-            inside &= axis_in
-        return np.count_nonzero(inside, axis=1)
 
 
 def star_discrepancy_lower_estimate(
@@ -509,10 +567,14 @@ def star_discrepancy_lower_estimate(
     as passed).  For a fixed seed the random corners form a prefix stream,
     so a larger budget never lowers the result.
 
-    The candidates are scored in blocks of at most 64k point x corner
-    cells (one corner when N is larger), and the random corners are drawn
-    one block at a time (``Stream.randbelow_rows``), so memory does not
-    grow with the budget.
+    The counts come from per-axis cumulative bitsets over the points'
+    grid indices (see ``_CornerScorer``), built once per call: tables of
+    about d * N * min(N, 4096) / 8 bytes, a rank map of 2 * d * (N + 1)
+    bytes per chunk of 4096 points, and working arrays of a few words per
+    point and axis.  The candidates are scored in blocks whose open and
+    closed rows of one chunk fill a 64 KiB buffer (at least one corner),
+    and the random corners are drawn one block at a time
+    (``Stream.randbelow_rows``), so memory does not grow with the budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -521,19 +583,23 @@ def star_discrepancy_lower_estimate(
         _require_same_dim(ps, box)
     coords = ps.coords
     scorer = _CornerScorer(coords)
-    step = scorer.rows
+    grids = scorer.grids
+    step = scorer.block
     for i in range(0, len(extra), step):
         boxes = extra[i:i + step]
-        scorer.offer(np.array([box.upper for box in boxes]), boxes)
+        corners = np.array([box.upper for box in boxes])
+        scorer.offer(corners, scorer.rows_of(corners, "left"),
+                     scorer.rows_of(corners, "right"), boxes)
     for i in range(0, ps.n_points, step):
-        scorer.offer(coords[i:i + step])
+        ranks = scorer.ranks[i:i + step]
+        scorer.offer(coords[i:i + step], ranks, ranks + 1)
 
-    grids = _grids(coords)
     sizes = [len(g) for g in grids]
     stream = Stream(derive(seed, "lower-estimate"))
     for done in range(0, budget, step):
         picks = stream.randbelow_rows(sizes, min(step, budget - done))
-        scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]))
+        scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]),
+                     picks, np.minimum(picks + 1, scorer.top))
 
     assert scorer.box is not None
     return scorer.value, scorer.box
