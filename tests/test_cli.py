@@ -217,6 +217,29 @@ def test_witness_trace_shows_the_integers_of_an_exact_tie(tmp_path, capsys):
     assert gap >= 0 and 4 * gap * gap == k_w * n
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["theorem3", "--N", "60", "--W", "20", "--n", "30"],
+     "check = theorem3\nparam N = 60\nparam W = 20\nparam n = 30\n"
+     "param p = 0.3333333333333333\ncomputed delta = 0.1625722201829385\n"
+     "bound lower = 0.017554479418886198\nbound upper = 0.4915254237288136\n"
+     "margin = 0.1450177407640523\nresult = PASS\n"),
+    (["lemma4", "--n", "16", "--p", "0.25"],
+     "check = lemma4\nparam n = 16\nparam p = 0.25\ncomputed cutoff = 3.0\n"
+     "computed mass = 0.4049871100578458\nbound floor = 0.01875\n"
+     "margin = 0.38623711005784583\nresult = PASS\n"),
+    (["theorem5", "--k", "50", "--q", "0.5", "--t", "0.2"],
+     "check = theorem5\nparam k = 50\nparam q = 0.5\nparam t = 0.2\n"
+     "computed tail = 0.0013010857283610748\nbound hoeffding = 0.018315638888734165\n"
+     "margin = 0.01701455316037309\nresult = PASS\n"),
+    (["lemma6", "--depth", "12", "--q", "0.0125", "--trees", "20", "--seed", "1"],
+     "trees = 20\ncheck = lemma6\nparam depth = 12\nparam q = 0.0125\n"
+     "computed worst_at = (12, 12)\nmargin = 2.177105923317768e-07\nresult = PASS\n"),
+], ids=["theorem3", "lemma4", "theorem5", "lemma6"])
+def test_prob_stdout_bytes_pinned(capsys, argv, expected):
+    assert run(["prob"] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_prob_lemma4_pass_exit_0(capsys):
     assert run(["prob", "lemma4", "--n", "16", "--p", "0.25"]) == 0
     out = capsys.readouterr().out

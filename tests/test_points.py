@@ -98,6 +98,29 @@ def test_read_skips_blank_and_comment_lines():
     assert ps.coords.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
+# Blank and comment lines precede every error, so the line numbers count them.
+@pytest.mark.parametrize("text,lineno,message", [
+    ("# pointset v1\n\n# only comments\n", 4, "missing '<N> <d>' line"),
+    ("# pointset v1\n\n# c\n2 x\n", 4, "expected two integers, got '2 x'"),
+    ("# pointset v1\n\n# c\n3 1\n# c\n0.25\n\n0.5\n", 9,
+     "expected 3 data rows, file ended early"),
+    ("# pointset v1\n\n# c\n2 2\n\n# c\n0.1 0.2 0.3\n", 7, "expected 2 fields, got 3"),
+    ("# pointset v1\n\n# c\n2 2\n0.1 0.2\n# c\n\n0.3 abc\n", 8,
+     "unparseable real number in '0.3 abc'"),
+    ("# pointset v1\n\n# c\n1 1\n0.25\n\n# c\n0.75\n", 8,
+     "found more than the declared 1 data rows"),
+    # A malformed row before an early end of file reports the row.
+    ("# pointset v1\n3 1\n0.25\n\n0.5 0.5\n", 5, "expected 1 fields, got 2"),
+], ids=["no-shape-line", "bad-shape-line", "too-few-rows", "field-count", "bad-float",
+        "extra-row", "bad-row-before-eof"])
+def test_read_error_message_and_line(text, lineno, message):
+    for read in (pointset_from_text, lambda t: read_pointset(io.StringIO(t))):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+
 def test_read_tolerates_crlf_line_endings():
     text = "# pointset v1\r\n2 1\r\n0.25\r\n0.75\r\n"
     ps = read_pointset(io.StringIO(text))
