@@ -16,9 +16,10 @@ prefix of corner values (open: x < y, closed: x <= y).  Under each prefix
 the last two axes form a table of corners whose counts are 2-D prefix
 counts of the survivors.  Each corner's value is computed with the same
 binary64 operations in the same order as a direct evaluation: volume
-((1*a)*b)*c, then count/N - volume and volume - count/N.  Corners are
-visited in lexicographic order and the best value is replaced only by a
-strictly larger one, so the reported box is the lexicographically
+((1*a)*b)*c, then closed/N - volume, volume - open/N and their maximum,
+in the one function that the lower estimate shares (``_corner_values``).
+Corners are visited in lexicographic order and the best value is replaced
+only by a strictly larger one, so the reported box is the lexicographically
 smallest maximizer; it is closed-sided when its closed surplus is at
 least its open deficiency.
 
@@ -148,6 +149,18 @@ def excess(ps: PointSet, box: AnchoredBox) -> float:
     return count_open(ps, box) - ps.n_points * box_volume(box)
 
 
+def _corner_values(closed: np.ndarray, opened: np.ndarray, n: int, vols: np.ndarray,
+                   d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
+    """Corner values: closed/N - vol into ``d_plus``, vol - open/N into
+    ``d_minus`` (either may be its count array), their maximum into and
+    returned as ``vols``."""
+    np.divide(closed, n, out=d_plus)
+    np.subtract(d_plus, vols, out=d_plus)
+    np.divide(opened, n, out=d_minus)
+    np.subtract(vols, d_minus, out=d_minus)
+    return np.maximum(d_plus, d_minus, out=vols)
+
+
 def _grids(coords: np.ndarray) -> list[np.ndarray]:
     # Distinct coordinates per axis plus 1; 0 enters only as a coordinate.
     out = []
@@ -256,14 +269,10 @@ class _ExactKernel:
 
     def _score_tables(self, vol_prefix: float, prefix: list[float]) -> None:
         """Every cell of the step tables; keeps the first strict maximum."""
-        d_plus, d_minus, vols = self.d_plus, self.d_minus, self.vols
-        np.multiply((vol_prefix * self.grid_u)[:, None], self.grid_v, out=vols)
-        np.divide(self.closed_t, self.n, out=d_plus)
-        np.subtract(d_plus, vols, out=d_plus)
-        np.divide(self.open_t, self.n, out=d_minus)
-        np.subtract(vols, d_minus, out=d_minus)
-        self._keep(np.maximum(d_plus, d_minus, out=vols).reshape(-1), d_plus, d_minus, 0,
-                   prefix)
+        np.multiply((vol_prefix * self.grid_u)[:, None], self.grid_v, out=self.vols)
+        cand = _corner_values(self.closed_t, self.open_t, self.n, self.vols,
+                              self.d_plus, self.d_minus)
+        self._keep(cand.reshape(-1), self.d_plus, self.d_minus, 0, prefix)
         self.tables += 1
 
     def _keep(self, cand: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray, r0: int,
@@ -332,8 +341,8 @@ class _ExactKernel:
         b) are monotone under round-to-nearest, so the cell's closed and
         open values are at most those of the bounding counts and volumes:
         the bound holds in binary64.  The last rows' values take the
-        scorer's operations in its order, so the floor is a value some cell
-        attains.
+        operations of ``_corner_values`` in its order (fused here with the
+        bounds, whose buffers they share), so some cell attains the floor.
         """
         k = self.block_rows
         n_blocks = len(cuts) - 1
@@ -374,14 +383,11 @@ class _ExactKernel:
         counts = self.counts[:m]
         self._cumulate(counts.reshape(m, -1), cells)
         np.add.accumulate(counts, axis=2, out=counts)
-        np.divide(counts, self.n, out=counts)
-        d_plus = counts[:, 0]
-        d_minus = counts[:, 1]
+        d_plus, d_minus = counts[:, 0], counts[:, 1]  # counts in, values out
         vols = self.vols[:m]
         np.multiply(row_vol[r0:r1, None], self.grid_v, out=vols)
-        np.subtract(d_plus, vols, out=d_plus)
-        np.subtract(vols, d_minus, out=d_minus)
-        self._keep(np.maximum(d_plus, d_minus, out=vols).reshape(-1), d_plus, d_minus, r0, [])
+        cand = _corner_values(d_plus, d_minus, self.n, vols, d_plus, d_minus)
+        self._keep(cand.reshape(-1), d_plus, d_minus, r0, [])
 
     def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
         """Carry plus the block's points (flat cells), cumulated down the rows."""
@@ -455,11 +461,12 @@ _ESTIMATE_WORDS = 1 << 13
 class _CornerScorer:
     """Scores blocks of candidate corners and keeps the first strict maximum.
 
-    A corner's value is the larger of its open evaluation |open/N - vol|
-    and its closed-limit surplus closed/N - vol, each a valid lower bound
-    for the star discrepancy.  The volume is the left-to-right product of
-    the corner's components, so every value is the binary64 result a
-    corner-by-corner evaluation gives.
+    A corner's value is the exact kernel's, from ``_corner_values``.  As
+    open <= closed makes open/N - vol at most closed/N - vol in binary64,
+    it is the larger of closed/N - vol and |open/N - vol|, each a valid
+    lower bound for the star discrepancy.  The volume is the left-to-right
+    product of the corner's components, so every value is the binary64
+    result a corner-by-corner evaluation gives.
 
     The counts are exact integers read from per-axis cumulative bitsets.
     On axis j the points a corner holds are those whose grid index on that
@@ -468,22 +475,18 @@ class _CornerScorer:
     into chunks of at most 4096, one bit per point.  Per chunk and axis,
     row i of a uint64 table holds the chunk's first i points in grid index
     order, and a rank map (the number of the chunk's points below each
-    row) turns a row into a table row; the map is left out where it is the
-    identity, that is where every grid value but 1.0 is the coordinate of
-    exactly one of the chunk's points.  A count is the popcount of the AND
-    of one table row per axis, summed over the chunks.  The tables take
+    row) turns every row into a table row.  A count is the popcount of the
+    AND of one table row per axis, summed over the chunks.  The tables take
     about d * N * min(N, 4096) / 8 bytes and the rank maps 2 * d * (N + 1)
     bytes per chunk; the two block buffers take 64 KiB each.
     """
 
     def __init__(self, coords: np.ndarray):
         self.n = coords.shape[0]
-        self.grids = []
+        self.grids = _grids(coords)
         #: Per point and axis, the grid index of its coordinate.
-        self.ranks = np.empty(coords.shape, dtype=np.intp)
-        for j, column in enumerate(coords.T):
-            values, self.ranks[:, j] = np.unique(column, return_inverse=True)
-            self.grids.append(np.append(values, 1.0))
+        self.ranks = np.column_stack([np.searchsorted(g, column)
+                                      for g, column in zip(self.grids, coords.T)])
         self.top = np.array([len(g) - 1 for g in self.grids])
         self.chunks = [self._chunk(self.ranks[s:s + _CHUNK_POINTS])
                        for s in range(0, self.n, _CHUNK_POINTS)]
@@ -493,10 +496,11 @@ class _CornerScorer:
         self.block = max(1, _ESTIMATE_WORDS // (2 * words))
         self.hit = np.empty(2 * self.block * words, dtype=np.uint64)
         self.axis_hit = np.empty_like(self.hit)
+        self.vols, self.d_plus, self.d_minus = (np.empty(self.block) for _ in range(3))
         self.value = -np.inf
         self.box: AnchoredBox | None = None
 
-    def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per axis, the cumulative table of ``ranks``' points and its rank map."""
         size = ranks.shape[0]
         pos = np.arange(size)
@@ -508,11 +512,8 @@ class _CornerScorer:
             table = np.zeros((size + 1, word[-1] + 1), dtype=np.uint64)
             table[pos + 1, word[order]] = bit[order]
             np.bitwise_or.accumulate(table, axis=0, out=table)
-            per_rank = np.bincount(rank, minlength=top)
-            rank_map = None
-            if size < top or per_rank.max() > 1:
-                rank_map = np.concatenate(([0], per_rank.cumsum())).astype(np.int16)
-            out.append((table, rank_map))
+            rank_map = np.concatenate(([0], np.bincount(rank, minlength=top).cumsum()))
+            out.append((table, rank_map.astype(np.int16)))
         return out
 
     def rows_of(self, corners: np.ndarray, side: str) -> np.ndarray:
@@ -533,17 +534,16 @@ class _CornerScorer:
             hit = self.hit[:size].reshape(2 * m, -1)
             axis_hit = self.axis_hit[:size].reshape(2 * m, -1)
             for j, (table, rank_map) in enumerate(chunk):
-                t = rows[j] if rank_map is None else rank_map.take(rows[j])
-                table.take(t, axis=0, out=axis_hit if j else hit)
+                table.take(rank_map.take(rows[j]), axis=0, out=axis_hit if j else hit)
                 if j:
                     hit &= axis_hit
             count = count + np.bitwise_count(hit).sum(axis=1)
-        vol = corners[:, 0].copy()
+        vols = self.vols[:m]
+        np.copyto(vols, corners[:, 0])
         for j in range(1, corners.shape[1]):
-            vol *= corners[:, j]
-        open_val = np.abs(count[:m] / self.n - vol)
-        closed_val = count[m:] / self.n - vol
-        cand = np.maximum(closed_val, open_val, out=vol)
+            vols *= corners[:, j]
+        cand = _corner_values(count[m:], count[:m], self.n, vols, self.d_plus[:m],
+                              self.d_minus[:m])
         i = int(cand.argmax())
         if cand[i] > self.value:
             self.value = float(cand[i])

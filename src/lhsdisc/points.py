@@ -116,21 +116,13 @@ def read_pointset(f: IO[str] | Iterable[str]) -> PointSet:
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(1, f"expected header {HEADER!r}")
 
-    pos = 1  # 0-based index of the next unread line
-
-    def next_content() -> tuple[int, str] | None:
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos]
-            pos += 1
-            if not _is_ignorable(line):
-                return pos, line  # 1-based line number
-        return None
-
-    got = next_content()
-    if got is None:
-        raise ParseError(len(lines) + 1, "missing '<N> <d>' line")
-    lineno, line = got
+    # (1-based line number, line) of every line that is not blank or a comment.
+    content = [(i, line) for i, line in enumerate(lines[1:], start=2)
+               if not _is_ignorable(line)]
+    end = len(lines) + 1
+    if not content:
+        raise ParseError(end, "missing '<N> <d>' line")
+    lineno, line = content[0]
     parts = line.split()
     if len(parts) != 2:
         raise ParseError(lineno, f"expected '<N> <d>', got {line.strip()!r}")
@@ -143,12 +135,9 @@ def read_pointset(f: IO[str] | Iterable[str]) -> PointSet:
     if dim < 1:
         raise ParseError(lineno, f"d must be positive, got {dim}")
 
+    rows = content[1:]
     values: list[float] = []
-    for _ in range(n_points):
-        got = next_content()
-        if got is None:
-            raise ParseError(len(lines) + 1, f"expected {n_points} data rows, file ended early")
-        lineno, line = got
+    for lineno, line in rows[:n_points]:
         fields = line.split()
         if len(fields) != dim:
             raise ParseError(lineno, f"expected {dim} fields, got {len(fields)}")
@@ -156,10 +145,10 @@ def read_pointset(f: IO[str] | Iterable[str]) -> PointSet:
             values.extend(float(tok) for tok in fields)
         except ValueError:
             raise ParseError(lineno, f"unparseable real number in {line.strip()!r}") from None
-
-    trailing = next_content()
-    if trailing is not None:
-        raise ParseError(trailing[0], f"found more than the declared {n_points} data rows")
+    if len(rows) < n_points:
+        raise ParseError(end, f"expected {n_points} data rows, file ended early")
+    if len(rows) > n_points:
+        raise ParseError(rows[n_points][0], f"found more than the declared {n_points} data rows")
 
     return PointSet.from_flat(n_points, dim, values)
 

@@ -17,7 +17,8 @@ construction relies on:
 
 All probability masses are computed in log space with a single
 exponentiation per value, which stays finite at large parameters; CDFs
-are direct sums from the nearest tail, clamped to [0, 1].
+are direct sums from the nearest tail, clamped to [0, 1].  The lemma 4
+and theorem 5 tail cut-offs are exact for their binary64 inputs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .rng import Stream, derive
+from .witness import _shrinks
 
 #: Acceptable departure of a probability vector from total mass 1.
 MASS_TOL = 1e-12
@@ -150,17 +153,22 @@ def binom_pmf(n: int, p: float, k: int) -> float:
     return _binom_mass(n, p, k)
 
 
+def _nearest_tail_cdf(mass: Callable[[int], float], lo: int, hi: int, k: int) -> float:
+    """P(X <= k) for masses ``mass(i)`` on lo..hi, summed from the nearer tail."""
+    if k < lo:
+        return 0.0
+    if k >= hi:
+        return 1.0
+    if k - lo + 1 <= hi - k:
+        total = sum(mass(i) for i in range(lo, k + 1))
+    else:
+        total = 1.0 - sum(mass(i) for i in range(k + 1, hi + 1))
+    return min(1.0, max(0.0, total))
+
+
 def binom_cdf(n: int, p: float, k: int) -> float:
     _binom_domain(n, p)
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    if k + 1 <= n - k:
-        total = sum(_binom_mass(n, p, i) for i in range(k + 1))
-    else:
-        total = 1.0 - sum(_binom_mass(n, p, i) for i in range(k + 1, n + 1))
-    return min(1.0, max(0.0, total))
+    return _nearest_tail_cdf(functools.partial(_binom_mass, n, p), 0, n, k)
 
 
 def _hyper_support(n_total: int, n_white: int, n_draws: int) -> tuple[int, int]:
@@ -186,15 +194,8 @@ def hypergeom_pmf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
 
 def hypergeom_cdf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
     lo, hi = _hyper_support(n_total, n_white, n_draws)
-    if k < lo:
-        return 0.0
-    if k >= hi:
-        return 1.0
-    if k - lo + 1 <= hi - k:
-        total = sum(hypergeom_pmf(n_total, n_white, n_draws, i) for i in range(lo, k + 1))
-    else:
-        total = 1.0 - sum(hypergeom_pmf(n_total, n_white, n_draws, i) for i in range(k + 1, hi + 1))
-    return min(1.0, max(0.0, total))
+    return _nearest_tail_cdf(functools.partial(hypergeom_pmf, n_total, n_white, n_draws),
+                             lo, hi, k)
 
 
 def binom_distribution(n: int, p: float) -> DiscreteDistribution:
@@ -257,7 +258,9 @@ def check_theorem3(n_total: int, n_white: int, n_draws: int) -> CheckReport:
 def check_lemma4(n: int, p: float) -> CheckReport:
     """Binomial mass of [0, np - sqrt(np)/2] against the floor 3/160.
 
-    Requires n >= 16 and 1/n <= p <= 1/4.
+    Requires n >= 16 and 1/n <= p <= 1/4.  The mass is summed through the
+    largest Y the witness rule (``_shrinks``) accepts at m = np, with p =
+    a/b exactly; the reported ``cutoff`` is the binary64 np - sqrt(np)/2.
     """
     if n < 16:
         raise HypothesisNotMet(f"need n >= 16, got {n}")
@@ -265,7 +268,12 @@ def check_lemma4(n: int, p: float) -> CheckReport:
         raise HypothesisNotMet(f"need 1/n <= p <= 1/4, got p = {p} at n = {n}")
     mean = n * p
     cutoff = mean - math.sqrt(mean) / 2.0
-    mass = binom_cdf(n, p, math.floor(cutoff))
+    a, b = p.as_integer_ratio()
+    # cutoff is off by far less than 1, so the cut is at most its floor + 1.
+    last = math.floor(cutoff) + 1
+    while not _shrinks(n, a, last, b):
+        last -= 1
+    mass = binom_cdf(n, p, last)
     floor = 3.0 / 160.0
     return CheckReport(
         name="lemma4",
@@ -286,8 +294,8 @@ def check_theorem5_binomial(k: int, q: float, t: float) -> CheckReport:
     """Exact iid-Bernoulli lower tail P(sum < kq - tk) against exp(-2 t^2 k)."""
     if k < 1 or not 0.0 < q < 1.0 or t <= 0.0:
         raise DomainError(f"need k >= 1, q in (0,1), t > 0, got k={k}, q={q}, t={t}")
-    cut = k * q - t * k
-    tail = binom_cdf(k, q, math.ceil(cut) - 1)  # strict: sum < cut
+    # Strict: sum < k (q - t), cut exactly for the doubles q and t.
+    tail = binom_cdf(k, q, math.ceil(k * (Fraction(q) - Fraction(t))) - 1)
     bound = hoeffding_bound(k, t)
     return CheckReport(
         name="theorem5",
@@ -360,7 +368,7 @@ def tree_sum_distribution(tree: ConditionalBernoulliTree, j: int) -> DiscreteDis
     for level in tree.levels[:j]:
         # First half: next bit 0, second half: next bit 1 (bit j-1 of the index).
         path = np.concatenate([path * (1.0 - level), path * level])
-    popcounts = np.array([bin(h).count("1") for h in range(2**j)])
+    popcounts = np.bitwise_count(np.arange(2**j))
     probs = np.bincount(popcounts, weights=path, minlength=j + 1)
     return DiscreteDistribution(0, probs)
 

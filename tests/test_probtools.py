@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lhsdisc import probtools
 from lhsdisc.probtools import (
     ConditionalBernoulliTree,
     DepthExceeded,
@@ -33,6 +34,7 @@ from oracles import (
     hypergeom_pmf_frac,
     tv_by_subset_enumeration,
     tv_frac,
+    witness_shrinks_frac,
 )
 
 
@@ -217,6 +219,30 @@ class TestLemma4:
         assert report.computed["mass"] == pytest.approx((15 / 16) ** 16, rel=1e-12)
         assert report.passed
 
+    @pytest.mark.parametrize("n,p", [(240, 0.15), (150, 0.24)])
+    def test_cut_below_a_cutoff_rounded_up(self, n, p):
+        # np - sqrt(np)/2 rounds to 33.0, but for the double p it lies
+        # below 33, so the mass is summed through 32.
+        report = check_lemma4(n, p)
+        assert report.computed["cutoff"] == 33.0
+        exact = float(binom_cdf_frac(n, Fraction(p), 32))
+        assert report.computed["mass"] == pytest.approx(exact, rel=1e-12)
+
+    def test_cut_is_the_witness_rule(self, monkeypatch):
+        cuts = []
+        real = probtools.binom_cdf
+        monkeypatch.setattr(probtools, "binom_cdf",
+                            lambda n, p, k: cuts.append(k) or real(n, p, k))
+        for n in range(16, 401):
+            for p in (1 / n, 0.075, 0.1, 0.125, 0.15, 0.2, 0.24, 0.25):
+                if not 1 / n <= p <= 0.25:
+                    continue
+                check_lemma4(n, p)
+                a, b = p.as_integer_ratio()
+                j = cuts.pop()
+                assert witness_shrinks_frac(n, a, j, b), (n, p, j)
+                assert not witness_shrinks_frac(n, a, j + 1, b), (n, p, j)
+
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisNotMet):
             check_lemma4(15, 0.25)
@@ -234,6 +260,14 @@ class TestTheorem5:
         assert report.computed["tail"] <= math.exp(-4.0)
         # Exact rational tail: sum < 25 - 10 = 15, i.e. cdf at 14.
         exact = float(binom_cdf_frac(50, Fraction(1, 2), 14))
+        assert report.computed["tail"] == pytest.approx(exact, rel=1e-12)
+
+    def test_cut_is_exact_for_the_doubles(self):
+        # 4 * 0.9 - 0.15 * 4 is 3.0 in binary64, but k (q - t) for the
+        # doubles q and t is 3 + 1.1e-16, so S < k (q - t) means S <= 3.
+        assert 4 * (Fraction(0.9) - Fraction(0.15)) > 3
+        report = check_theorem5_binomial(4, 0.9, 0.15)
+        exact = float(binom_cdf_frac(4, Fraction(0.9), 3))
         assert report.computed["tail"] == pytest.approx(exact, rel=1e-12)
 
     def test_zero_tail_when_t_at_least_q(self):
