@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,9 +159,9 @@ def _nearest_tail_cdf(mass: Callable[[int], float], lo: int, hi: int, k: int) ->
     if k >= hi:
         return 1.0
     if k - lo + 1 <= hi - k:
-        total = sum(mass(i) for i in range(lo, k + 1))
+        total = sum(map(mass, range(lo, k + 1)))
     else:
-        total = 1.0 - sum(mass(i) for i in range(k + 1, hi + 1))
+        total = 1.0 - sum(map(mass, range(k + 1, hi + 1)))
     return min(1.0, max(0.0, total))
 
 
@@ -294,8 +293,9 @@ def check_theorem5_binomial(k: int, q: float, t: float) -> CheckReport:
     """Exact iid-Bernoulli lower tail P(sum < kq - tk) against exp(-2 t^2 k)."""
     if k < 1 or not 0.0 < q < 1.0 or t <= 0.0:
         raise DomainError(f"need k >= 1, q in (0,1), t > 0, got k={k}, q={q}, t={t}")
-    # Strict: sum < k (q - t), cut exactly for the doubles q and t.
-    tail = binom_cdf(k, q, math.ceil(k * (Fraction(q) - Fraction(t))) - 1)
+    (a, b), (c, e) = q.as_integer_ratio(), t.as_integer_ratio()
+    # Strict: sum < k (q - t) = k (a e - c b) / (b e), whose ceiling is -(-x // y).
+    tail = binom_cdf(k, q, -(-k * (a * e - c * b) // (b * e)) - 1)
     bound = hoeffding_bound(k, t)
     return CheckReport(
         name="theorem5",
