@@ -10,28 +10,19 @@ counting (x <= y).  Evaluating both sides on the grid therefore gives the
 exact supremum with no epsilon perturbation anywhere; coordinates are
 exact binary64 values and strict/non-strict comparisons are well defined.
 
-One exact kernel serves every dimension.  It recurses depth-first over the
-leading axes (all but the last two), keeping the points that survive each
-prefix of corner values (open: x < y, closed: x <= y).  Under each prefix
-the last two axes form a table of corners whose counts are 2-D prefix
-counts of the survivors.  Each corner's value is computed with the same
-binary64 operations in the same order as a direct evaluation: volume
-((1*a)*b)*c, then closed/N - volume, volume - open/N and their maximum,
-in the one function that the lower estimate shares (``_corner_values``).
-Corners are visited in lexicographic order and the best value is replaced
-only by a strictly larger one, so the reported box is the lexicographically
-smallest maximizer; it is closed-sided when its closed surplus is at
-least its open deficiency.
-
-For d >= 3 the last leading axis steps up its grid with one closed-count
-and one open-count table of grid_u x grid_v cells: a step adds only the
-points on one grid value, each as +1 on a quadrant of cells, and every
-table is scored in full.  This takes O(grid_u * grid_v) memory: five
-float64 tables of that shape (40 B per cell), reused by every table.
+Every exact kernel values a corner with the same binary64 operations in
+the same order as a direct evaluation: volume ((1*a)*b)*c, then
+closed/N - volume, volume - open/N and their maximum, in the one function
+that the lower estimate shares (``_corner_values``).  The reported box is
+the lexicographically smallest maximizer; it is closed-sided when its
+closed surplus is at least its open deficiency.  The kernel is chosen by
+dimension: a blocked table for d <= 2 and a search over boxes for d >= 3.
 
 For d <= 2 there is one table (d = 1 is a table of one row), built and
 scored in blocks of about 16k cells (at least one row), so it takes O(N)
-memory rather than O(N^2).  It takes two passes over its blocks of rows.
+memory rather than O(N^2).  Its corners are scanned in lexicographic
+order and the best value is replaced only by a strictly larger one.  It
+takes two passes over its blocks of rows.
 The first computes, per block, an upper bound on its cells from the
 closed counts of its last row with the volumes of its first row, and the
 volumes of its last row with the open counts of the row above it; counts
@@ -44,6 +35,35 @@ and above the best value so far.  A skipped block holds no corner above
 the floor or the best value, so it cannot hold the first strict maximum,
 and the result is the one the full scan gives.  A block whose bound
 equals the floor is scored, as an earlier corner may tie with the floor.
+
+For d >= 3 the kernel is a branch and bound over boxes [lo, hi] of grid
+indices (Thiemard, "An algorithm to compute bounds for the star
+discrepancy", J. Complexity 2001).  A corner of the box has at most the
+closed count C(hi) of hi, at least the open count O(lo) of lo, and a
+volume between vol(lo) and vol(hi), so its value is at most the box's
+bound max(C(hi)/N - vol(lo), vol(hi) - O(lo)/N); by the monotonicity above
+this holds in binary64.  The floor is the largest value known to be
+attained: the closed side at each bounded box's hi, the open side at its
+lo, and the value of each single corner scored, the points' own corners
+first.  A box whose bound is below the floor holds no maximizer and is
+dropped; one whose bound equals it is kept, as a tie may lie at a smaller
+corner.  From the whole grid, a box is split at the midpoint of every axis
+into at most 2^d children, each bounded with two exact counts from the
+lower estimate's bitsets (``_CornerScorer``).  A single corner's bound is
+its value; of equal values the lexicographically smallest corner (in grid
+indices, axis by axis) is kept, so the result is the full scan's.
+
+The frontier is a stack, searched depth first a chunk at a time: the last
+max(1, B / 2^d) boxes pushed are split and their children bounded, where
+B is the estimate's block of corners (2048 at N = 128, so a chunk is 256
+boxes at d = 3), so that a chunk's bitset rows fill the estimate's 64 KiB.
+The kept children of a chunk are pushed sorted by bound, best last, and
+lie one level below their parents, so the stack holds one chunk's children
+at most per level: with C = max(B, 2^d) and L = ceil(log2) of the longest
+grid, at most L * C boxes of 16 d + 8 bytes (2 d grid indices and a bound).
+The bitset tables take about d * N * min(N, 4096) / 8 bytes, their rank
+maps 2 * d * (N + 1) bytes per 4096 points, and one chunk's working arrays
+four 64 KiB arrays of bitset rows and about 100 d bytes per child.
 """
 
 from __future__ import annotations
@@ -178,25 +198,18 @@ _BLOCK_CELLS = 16384
 
 
 class _ExactKernel:
-    """One exact computation: prefixes of the leading axes, then tables.
+    """d <= 2: one table of corners of the last two axes, in blocks of rows.
 
-    A table holds, per corner of the last two axes, the closed count and the
-    open count of the points that survive the prefix.  A point counts in
-    the closed table from its own grid index on each of the last two axes,
-    and in the open table from the next one.  ``tables`` counts the tables
-    scored, the product of the leading grid sizes.
-
-    d <= 2 is one table, built and scored in blocks of rows (``_blocked``);
-    ``blocks_seen`` and ``blocks_scored`` count its blocks and those scored.
-    d >= 3 steps the last leading axis up its grid (``_steps``).
+    A table holds, per corner, the closed count and the open count of the
+    points.  A point counts in the closed table from its own grid index on
+    each axis, and in the open table from the next one.  ``blocks_seen``
+    and ``blocks_scored`` count the blocks of rows and those scored.
     """
 
     def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
-        self.coords = coords
-        self.grids = grids
         self.n = coords.shape[0]
-        self.grid_u, self.grid_v = grids[-2], grids[-1]
-        u, v = coords[:, -2], coords[:, -1]
+        self.grid_u, self.grid_v = grids
+        u, v = coords.T
         self.closed_rows = np.searchsorted(self.grid_u, u, "left")
         self.closed_cols = np.searchsorted(self.grid_v, v, "left")
         self.open_rows = np.searchsorted(self.grid_u, u, "right")
@@ -204,89 +217,21 @@ class _ExactKernel:
         self.value = -np.inf
         self.upper: list[float] = []
         self.closed = False
-        self.tables = 0
         self.blocks_seen = 0
         self.blocks_scored = 0
 
-    def run(self) -> None:
-        if len(self.grids) == 2:
-            self._blocked()
-            return
-        axis = len(self.grids) - 3
-        self.steps = np.searchsorted(self.grids[axis], self.coords[:, axis])
-        shape = (len(self.grid_u), len(self.grid_v))
-        self.closed_t, self.open_t, self.d_plus, self.d_minus, self.vols = (
-            np.empty(shape) for _ in range(5))
-        every = np.arange(self.n)
-        self._prefixes(0, every, every, 1.0, [])
-
-    def _prefixes(self, axis: int, open_idx: np.ndarray, closed_idx: np.ndarray,
-                  vol_prefix: float, prefix: list[float]) -> None:
-        if axis == len(self.grids) - 3:
-            self._steps(open_idx, closed_idx, vol_prefix, prefix)
-            return
-        open_col = self.coords[open_idx, axis]
-        closed_col = self.coords[closed_idx, axis]
-        for y in self.grids[axis]:
-            self._prefixes(axis + 1,
-                           open_idx[open_col < y],
-                           closed_idx[closed_col <= y],
-                           vol_prefix * y,
-                           prefix + [float(y)])
-
-    def _steps(self, open_idx: np.ndarray, closed_idx: np.ndarray, vol_prefix: float,
-               prefix: list[float]) -> None:
-        """d >= 3: the tables of the last leading axis, one grid value at a time.
-
-        At grid value g[k] the closed table holds the points whose
-        coordinate is at most g[k], and the open table those below g[k],
-        which are those at most g[k-1]: no coordinate lies strictly between
-        two grid values.  So a step adds to the closed table the points on
-        g[k] and to the open table the points on g[k-1], each as +1 on the
-        quadrant of cells from which it counts.  The two tables and the
-        three score buffers are float64 of grid_u x grid_v cells and are
-        reused by every step and prefix: 40 B per cell in all, and numpy's
-        fixed-size ufunc buffers besides.
-        """
-        # (step, table, row, col): when a point is added, where it counts from.
-        adds = sorted(
-            [(k, 0, r, c) for k, r, c in zip(self.steps[closed_idx].tolist(),
-                                             self.closed_rows[closed_idx].tolist(),
-                                             self.closed_cols[closed_idx].tolist())]
-            + [(k + 1, 1, r, c) for k, r, c in zip(self.steps[open_idx].tolist(),
-                                                   self.open_rows[open_idx].tolist(),
-                                                   self.open_cols[open_idx].tolist())])
-        tables = (self.closed_t, self.open_t)
-        for table in tables:
-            table.fill(0.0)
-        i = 0
-        for k, y in enumerate(self.grids[len(self.grids) - 3]):
-            while i < len(adds) and adds[i][0] == k:
-                _, t, r, c = adds[i]
-                tables[t][r:, c:] += 1.0
-                i += 1
-            self._score_tables(vol_prefix * y, prefix + [float(y)])
-
-    def _score_tables(self, vol_prefix: float, prefix: list[float]) -> None:
-        """Every cell of the step tables; keeps the first strict maximum."""
-        np.multiply((vol_prefix * self.grid_u)[:, None], self.grid_v, out=self.vols)
-        cand = _corner_values(self.closed_t, self.open_t, self.n, self.vols,
-                              self.d_plus, self.d_minus)
-        self._keep(cand.reshape(-1), self.d_plus, self.d_minus, 0, prefix)
-        self.tables += 1
-
-    def _keep(self, cand: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray, r0: int,
-              prefix: list[float]) -> None:
+    def _keep(self, cand: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray,
+              r0: int) -> None:
         """Keeps the first strict maximum of ``cand``, cells of rows r0 on."""
         i = int(cand.argmax())
         if cand[i] > self.value:
             r, c = divmod(i, len(self.grid_v))
             self.value = float(cand[i])
-            self.upper = prefix + [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
+            self.upper = [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
             self.closed = bool(d_plus[r, c] >= d_minus[r, c])
 
-    def _blocked(self) -> None:
-        """d <= 2: the one table, in blocks of rows and two passes (see the module).
+    def run(self) -> None:
+        """The table in blocks of rows and two passes (see the module).
 
         A table row holds the closed counts of the row's corners, then their
         open counts, and a point is kept as the flat index of the cell from
@@ -309,7 +254,7 @@ class _ExactKernel:
         cells.sort()
         cuts = np.searchsorted(cells, np.array(self.edges) * self.width).tolist()
         cols = cells % self.width
-        row_vol = self.grid_u  # the empty prefix has volume 1, and 1 * u == u
+        row_vol = self.grid_u  # a row's volume is 1 * u == u
         bounds, floor = self._bounds(cols, cuts, row_vol)
         self.blocks_seen += len(bounds)
         self.carry.fill(0.0)
@@ -324,7 +269,6 @@ class _ExactKernel:
             self._score(r0, r1, cells[lo:hi] - r0 * self.width, row_vol)
             carried = r1
             self.blocks_scored += 1
-        self.tables += 1
 
     def _bounds(self, cols: np.ndarray, cuts: list[int],
                 row_vol: np.ndarray) -> tuple[np.ndarray, float]:
@@ -387,7 +331,7 @@ class _ExactKernel:
         vols = self.vols[:m]
         np.multiply(row_vol[r0:r1, None], self.grid_v, out=vols)
         cand = _corner_values(d_plus, d_minus, self.n, vols, d_plus, d_minus)
-        self._keep(cand.reshape(-1), d_plus, d_minus, r0, [])
+        self._keep(cand.reshape(-1), d_plus, d_minus, r0)
 
     def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
         """Carry plus the block's points (flat cells), cumulated down the rows."""
@@ -421,7 +365,7 @@ def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
         # a table of one row.
         coords = np.column_stack((np.zeros(n), coords))
         grids.insert(0, np.ones(1))
-    kernel = _ExactKernel(coords, grids)
+    kernel = _BoxSearch(coords, grids) if d >= 3 else _ExactKernel(coords, grids)
     kernel.run()
     return DiscrepancyCertificate(kernel.value, AnchoredBox(np.array(kernel.upper[-d:])),
                                   kernel.closed)
@@ -452,9 +396,10 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
 #: Points per chunk of the lower estimate's bitsets: 64 uint64 words.
 _CHUNK_POINTS = 4096
 
-#: uint64 words per block buffer of the lower estimate (64 KiB): a block of
-#: corners fills it with their open and closed rows of one chunk, and is at
-#: least one corner.
+#: uint64 words of a block's bitset rows (64 KiB): a block of the lower
+#: estimate's corners fills them with its open and closed rows of one chunk,
+#: and is at least one corner; the exact search's chunks of boxes fill them
+#: with their children's rows.
 _ESTIMATE_WORDS = 1 << 13
 
 
@@ -478,12 +423,12 @@ class _CornerScorer:
     row) turns every row into a table row.  A count is the popcount of the
     AND of one table row per axis, summed over the chunks.  The tables take
     about d * N * min(N, 4096) / 8 bytes and the rank maps 2 * d * (N + 1)
-    bytes per chunk; the two block buffers take 64 KiB each.
+    bytes per chunk; a block's AND arrays take 64 KiB each.
     """
 
-    def __init__(self, coords: np.ndarray):
+    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
         self.n = coords.shape[0]
-        self.grids = _grids(coords)
+        self.grids = grids
         #: Per point and axis, the grid index of its coordinate.
         self.ranks = np.column_stack([np.searchsorted(g, column)
                                       for g, column in zip(self.grids, coords.T)])
@@ -492,10 +437,8 @@ class _CornerScorer:
                        for s in range(0, self.n, _CHUNK_POINTS)]
         words = self.chunks[0][0][0].shape[1]
         #: Corners per block: their open and closed rows of a chunk fill
-        #: the block buffers.
+        #: ``_ESTIMATE_WORDS``.
         self.block = max(1, _ESTIMATE_WORDS // (2 * words))
-        self.hit = np.empty(2 * self.block * words, dtype=np.uint64)
-        self.axis_hit = np.empty_like(self.hit)
         self.vols, self.d_plus, self.d_minus = (np.empty(self.block) for _ in range(3))
         self.value = -np.inf
         self.box: AnchoredBox | None = None
@@ -522,22 +465,25 @@ class _CornerScorer:
         return np.column_stack([np.searchsorted(g[:-1], corners[:, j], side)
                                 for j, g in enumerate(self.grids)])
 
+    def count(self, rows: np.ndarray) -> np.ndarray:
+        """Per column of ``rows`` (one table row per axis), the number of
+        points below the row on every axis."""
+        count = 0
+        for chunk in self.chunks:
+            hit = None
+            for (table, rank_map), axis_rows in zip(chunk, rows):
+                axis_hit = table.take(rank_map.take(axis_rows), axis=0)
+                hit = axis_hit if hit is None else np.bitwise_and(hit, axis_hit, out=hit)
+            # Transposed, the sum runs along the block, not across a few words.
+            count = count + np.bitwise_count(hit).T.copy().sum(axis=0)
+        return count
+
     def offer(self, corners: np.ndarray, open_rows: np.ndarray, closed_rows: np.ndarray,
               boxes: Sequence[AnchoredBox] | None = None) -> None:
         """Score up to ``self.block`` corners given their open and closed
         rows; ``boxes`` are their own boxes."""
         m = corners.shape[0]
-        rows = np.concatenate((open_rows.T, closed_rows.T), axis=1)
-        count = 0
-        for chunk in self.chunks:
-            size = 2 * m * chunk[0][0].shape[1]
-            hit = self.hit[:size].reshape(2 * m, -1)
-            axis_hit = self.axis_hit[:size].reshape(2 * m, -1)
-            for j, (table, rank_map) in enumerate(chunk):
-                table.take(rank_map.take(rows[j]), axis=0, out=axis_hit if j else hit)
-                if j:
-                    hit &= axis_hit
-            count = count + np.bitwise_count(hit).sum(axis=1)
+        count = self.count(np.concatenate((open_rows.T, closed_rows.T), axis=1))
         vols = self.vols[:m]
         np.copyto(vols, corners[:, 0])
         for j in range(1, corners.shape[1]):
@@ -548,6 +494,122 @@ class _CornerScorer:
         if cand[i] > self.value:
             self.value = float(cand[i])
             self.box = boxes[i] if boxes is not None else AnchoredBox(corners[i])
+
+
+class _BoxSearch:
+    """d >= 3: branch and bound over boxes of grid indices (see the module).
+
+    A chunk of boxes is an int array (axis, end, box): end 0 is lo and end
+    1 is hi.  A box's open row is its lo and its closed row min(hi + 1,
+    distinct values), as for the estimate's corners.  ``boxes_bounded``
+    counts the boxes bounded and ``corners_scored`` those that are single
+    corners, whose bound is their value; neither counts the points' own
+    corners.
+    """
+
+    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
+        self.scorer = _CornerScorer(coords, grids)
+        self.grids = grids
+        self.n = coords.shape[0]
+        d = len(grids)
+        #: Per axis, end and child c of a box, the row of (lo, mid, mid + 1,
+        #: hi) stacked over the axes that holds the child's end: c takes the
+        #: upper half [mid + 1, hi] on the axes of its set bits.
+        upper = np.arange(1 << d) >> np.arange(d)[:, None, None] & 1
+        self.child_ends = (d * (np.arange(2)[:, None] + 2 * upper)
+                           + np.arange(d)[:, None, None]).ravel()
+        self.value = -np.inf
+        self.floor = -np.inf
+        self.corner: list[int] = []
+        self.closed = False
+        self.boxes_bounded = 0
+        self.corners_scored = 0
+
+    @property
+    def upper(self) -> list[float]:
+        return [float(g[k]) for g, k in zip(self.grids, self.corner)]
+
+    def run(self) -> None:
+        """The points' own corners, then the frontier from the whole grid."""
+        scorer = self.scorer
+        for s in range(0, self.n, scorer.block):
+            corners = scorer.ranks[s:s + scorer.block].T
+            k = corners.shape[1]
+            count = scorer.count(np.hstack((corners, corners + 1)))
+            self._score(corners, count[k:], count[:k], self._volumes(corners))
+        whole = np.stack((np.zeros_like(scorer.top), scorer.top), axis=1)
+        stack = [(whole[:, :, None], np.array([np.inf]))]
+        per = max(1, scorer.block >> len(self.grids))
+        while stack:
+            boxes, bound = stack[-1]
+            if bound.size > per:
+                stack[-1] = boxes[..., :-per], bound[:-per]
+                boxes, bound = boxes[..., -per:], bound[-per:]
+            else:
+                stack.pop()
+            keep = np.flatnonzero(bound >= self.floor)  # the floor may have risen since
+            if keep.size:
+                children = self._bound(self._split(boxes.take(keep, axis=2)))
+                if children[1].size:
+                    stack.append(children)
+
+    def _split(self, boxes: np.ndarray) -> np.ndarray:
+        """The children of the boxes: [lo, mid] or [mid + 1, hi] on each
+        axis, where an upper half is empty if lo == hi and drops out."""
+        d = len(self.grids)
+        lo, hi = boxes[:, 0], boxes[:, 1]
+        mid = (lo + hi) >> 1
+        children = np.concatenate((lo, mid, mid + 1, hi)).take(self.child_ends, axis=0)
+        children = children.reshape(d, 2, -1)
+        return children.take(np.flatnonzero((children[:, 0] <= children[:, 1]).all(axis=0)),
+                             axis=2)
+
+    def _volumes(self, corners: np.ndarray) -> np.ndarray:
+        """Per column of ``corners`` (grid indices), its volume."""
+        vols = self.grids[0][corners[0]]
+        for g, k in zip(self.grids[1:], corners[1:]):
+            vols *= g[k]
+        return vols
+
+    def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds the boxes and raises the floor; scores the single corners
+        that reach it and returns the other boxes that do, best bound last."""
+        d, _, k = boxes.shape
+        rows = np.minimum(boxes + [[0], [1]], self.scorer.top[:, None, None])
+        count = self.scorer.count(rows.reshape(d, -1))
+        vols = self._volumes(boxes.reshape(d, -1))
+        share = count / self.n
+        opened, closed, vol_lo, vol_hi = share[:k], share[k:], vols[:k], vols[k:]
+        # Attained: the closed side at hi and the open side at lo.
+        self.floor = max(self.floor, float(np.maximum(closed - vol_hi, vol_lo - opened).max()))
+        bound = np.maximum(closed - vol_lo, vol_hi - opened)
+        leaf = (boxes[:, 0] == boxes[:, 1]).all(axis=0)
+        self.boxes_bounded += k
+        self.corners_scored += int(leaf.sum())
+        reach = bound >= self.floor
+        i = np.flatnonzero(reach & leaf)
+        if i.size:
+            self._score(boxes[:, 0].take(i, axis=1), count[k + i], count[i], vol_lo[i])
+        i = np.flatnonzero(reach & ~leaf)
+        i = i[np.argsort(bound[i], kind="stable")]
+        return boxes.take(i, axis=2), bound[i]
+
+    def _score(self, corners: np.ndarray, closed: np.ndarray, opened: np.ndarray,
+               vols: np.ndarray) -> None:
+        """Values the corners (grid indices per column) from their counts
+        and volumes; keeps the lexicographically smallest of the largest."""
+        d_plus, d_minus = np.empty((2, len(vols)))
+        cand = _corner_values(closed, opened, self.n, vols, d_plus, d_minus)
+        top = float(cand.max())
+        self.floor = max(self.floor, top)
+        if top < self.value:
+            return
+        ties = np.flatnonzero(cand == top)
+        i = ties[np.lexsort(corners[::-1, ties])[0]]
+        corner = corners[:, i].tolist()
+        if top > self.value or corner < self.corner:
+            self.value, self.corner = top, corner
+            self.closed = bool(d_plus[i] >= d_minus[i])
 
 
 def star_discrepancy_lower_estimate(
@@ -572,7 +634,7 @@ def star_discrepancy_lower_estimate(
     about d * N * min(N, 4096) / 8 bytes, a rank map of 2 * d * (N + 1)
     bytes per chunk of 4096 points, and working arrays of a few words per
     point and axis.  The candidates are scored in blocks whose open and
-    closed rows of one chunk fill a 64 KiB buffer (at least one corner),
+    closed rows of one chunk fill 64 KiB (at least one corner),
     and the random corners are drawn one block at a time
     (``Stream.randbelow_rows``), so memory does not grow with the budget.
     """
@@ -582,8 +644,8 @@ def star_discrepancy_lower_estimate(
     for box in extra:
         _require_same_dim(ps, box)
     coords = ps.coords
-    scorer = _CornerScorer(coords)
-    grids = scorer.grids
+    grids = _grids(coords)
+    scorer = _CornerScorer(coords, grids)
     step = scorer.block
     for i in range(0, len(extra), step):
         boxes = extra[i:i + step]

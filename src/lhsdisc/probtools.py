@@ -260,6 +260,11 @@ def check_lemma4(n: int, p: float) -> CheckReport:
     Requires n >= 16 and 1/n <= p <= 1/4.  The mass is summed through the
     largest Y the witness rule (``_shrinks``) accepts at m = np, with p =
     a/b exactly; the reported ``cutoff`` is the binary64 np - sqrt(np)/2.
+    The gate 1/n <= p is decided in binary64, against the double 1.0/n, so
+    it accepts a p just below 1/n: the double nearest 1/17 is below 1/17.
+    An exact gate would reject 13 of the 25 inputs p = 1.0/n in the
+    benchmark's prob-verify sweep, so it waits for a decision on whether
+    such an input means 1/n.
     """
     if n < 16:
         raise HypothesisNotMet(f"need n >= 16, got {n}")

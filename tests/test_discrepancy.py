@@ -330,6 +330,24 @@ def run_kernel(ps):
     return kernel
 
 
+def run_search(ps, search=discrepancy._BoxSearch):
+    kernel = search(ps.coords, discrepancy._grids(ps.coords))
+    kernel.run()
+    return kernel
+
+
+def assert_search_counters(ps):
+    # The counters repeat exactly.  Every box is bounded at most once, and
+    # the tree of halvings of the grid has fewer than twice its corners.
+    first, second = run_search(ps), run_search(ps)
+    counters = (first.boxes_bounded, first.corners_scored)
+    assert counters == (second.boxes_bounded, second.corners_scored)
+    corners = np.prod([len(g) for g in first.grids])
+    assert first.corners_scored <= corners
+    assert first.corners_scored <= first.boxes_bounded < 2 * corners
+    return first
+
+
 class TestBoundAndSkip:
     """The skip pass changes no result, and it skips most of a paper table."""
 
@@ -353,7 +371,7 @@ class TestBoundAndSkip:
         ps = lattice_pointset(Stream(derive(85, f"skip-lattice-{n}-{m}")), n, 3, m)
         lead = np.unique(ps.coords[:, 0], return_counts=True)[1]
         assert lead.max() >= 3
-        assert run_kernel(ps).tables == lead.size + 1
+        assert_search_counters(ps)
         check_against_replaced_kernels(ps)
 
     @pytest.mark.parametrize("d,sizes", [(1, (1, 2, 5, 100, 1000, 20000)), (4, (1, 3, 9, 14))])
@@ -372,34 +390,50 @@ class TestBoundAndSkip:
             assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
 
     def test_counters_are_deterministic(self):
-        # d >= 3 scores one table per corner of the leading axes.
+        # d >= 3 bounds a small part of the 129**3 corners of the grid.
         ps = lhs_sample(128, 3, seed=derive(88, "counters"))
-        first, second = run_kernel(ps), run_kernel(ps)
-        assert first.tables == second.tables == 129
-        assert run_kernel(uniform_sample(12, 4, derive(88, "counters-4d"))).tables == 13 * 13
+        assert assert_search_counters(ps).boxes_bounded < 129**3 / 10
+        assert_search_counters(uniform_sample(12, 4, derive(88, "counters-4d")))
 
 
-class _RecordingKernel(discrepancy._ExactKernel):
-    """The kernel, recording the maximum of every table it scores."""
+class _RecordingSearch(discrepancy._BoxSearch):
+    """The search, recording every single corner it scores, in order."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.maxima = []
+        self.scored = []
 
-    def _keep(self, cand, *args):
-        self.maxima.append(float(cand.max()))
-        super()._keep(cand, *args)
+    def _score(self, corners, closed, opened, vols):
+        m = len(vols)
+        values = discrepancy._corner_values(closed, opened, self.n, vols.copy(),
+                                            np.empty(m), np.empty(m))
+        self.scored += zip(map(tuple, corners.T.tolist()), values.tolist())
+        super()._score(corners, closed, opened, vols)
 
 
-def table_maxima(ps):
-    kernel = _RecordingKernel(ps.coords, discrepancy._grids(ps.coords))
-    kernel.run()
-    return kernel.maxima
+def radical_inverse(i, base):
+    value, scale = 0.0, 1.0
+    while i:
+        scale /= base
+        value += scale * (i % base)
+        i //= base
+    return value
+
+
+def halton(n, d):
+    return PointSet(np.array([[radical_inverse(i, b) for b in (2, 3, 5, 7)[:d]]
+                              for i in range(n)]))
+
+
+def korobov(n, g):
+    # The points (i g**j mod n) / n, j = 0, 1, 2.
+    i = np.arange(n)
+    return PointSet(np.column_stack([i * pow(g, j, n) % n / n for j in range(3)]))
 
 
 class TestSteppedTables:
-    """d >= 3: tables stepped up the last leading axis, bit-equal (value,
-    box bytes, side) to the replaced kernel and to a corner-by-corner
+    """d >= 3: the search over boxes of grid indices, bit-equal (value, box
+    bytes, side) to the replaced kernel and to a corner-by-corner
     evaluation."""
 
     @staticmethod
@@ -407,8 +441,7 @@ class TestSteppedTables:
         check_against_replaced_kernels(ps)
         if ps.n_points <= 12:
             assert_bit_equal(star_discrepancy_exact(ps), corner_by_corner_star_discrepancy(ps))
-        leading = discrepancy._grids(ps.coords)[:-2]
-        assert run_kernel(ps).tables == np.prod([len(g) for g in leading])
+        assert_search_counters(ps)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_points_sharing_one_leading_coordinate(self, d):
@@ -437,41 +470,72 @@ class TestSteppedTables:
                        np.array([0.0, 0.75, 0.0, 0.25][:d])):
             self.check(PointSet(corner.reshape(1, d)))
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_coarse_lattices_tie_across_consecutive_tables(self, d):
-        # A corner with u = 0 (the first of the last two axes) has volume 0
-        # in every table, so once the leading axis has passed all of its
-        # points its value repeats in the next tables.
+    @pytest.mark.parametrize("d,sizes", [(3, (16, 32, 64)), (4, (16, 32))])
+    def test_coarse_lattices_tie_out_of_search_order(self, d, sizes):
+        # A corner with u = 0 (the first of the last two axes) has volume
+        # 0, so its value repeats along the other axes once it holds every
+        # point with u = 0: the maximum is attained at several corners.
+        # The search meets them in the order of its bounds and chunks, and
+        # must return the lexicographically smallest with its side.
         stream = Stream(derive(99, f"ties-{d}"))
-        crossed = 0
-        for m in (2, 3, 4):
-            for n in (4, 9, 24):
+        out_of_order = 0
+        for m in sizes:
+            for n in (24, 48, 96):
                 for share in (n // 2, 3 * n // 4, n):
                     coords = lattice_pointset(stream, n, d, m).coords.copy()
                     coords[:share, d - 2] = 0.0
                     ps = PointSet(coords)
                     self.check(ps)
-                    maxima = table_maxima(ps)
-                    top = max(maxima)
-                    crossed += any(a == b == top for a, b in zip(maxima, maxima[1:]))
-        # For several sets the maximum is attained in two consecutive
-        # tables, and the first of them must give the box.
-        assert crossed >= 5
+                    search = run_search(ps, _RecordingSearch)
+                    found = [corner for corner, value in search.scored if value == search.value]
+                    assert search.corner == list(min(found))
+                    out_of_order += found[0] != min(found)
+        # For several sets a maximizer is met before the smallest one.
+        assert out_of_order >= 5
+
+    @pytest.mark.parametrize("ps", [korobov(128, 25), korobov(127, 26), halton(128, 3),
+                                    halton(300, 3), halton(40, 4)],
+                             ids=["korobov-128x3", "korobov-127x3", "halton-128x3",
+                                  "halton-300x3", "halton-40x4"])
+    def test_low_discrepancy_sets(self, ps):
+        # The bounds prune least where the discrepancy is low everywhere.
+        # Each Korobov generator g maximizes the Zaremba index of its
+        # lattice (the smallest such g).
+        assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact(ps))
 
     @pytest.mark.parametrize("n", [128, 400])
     def test_table_memory_is_bounded_and_released(self, n):
-        # The docstring's bound: five float64 tables of grid_u x grid_v
-        # cells, plus numpy's fixed-size ufunc buffers (about 140 KiB).
-        ps = lhs_sample(n, 3, seed=derive(100, n))
-        star_discrepancy_exact(pset([0.5, 0.5, 0.5]))  # first-call imports
-        tracemalloc.start()
-        try:
-            star_discrepancy_exact(ps)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * (n + 1) ** 2 * 8 + (1 << 18)
-        assert current < 1 << 16
+        assert_search_memory_bounded(lhs_sample(n, 3, seed=derive(100, n)))
+
+    def test_memory_of_one_leading_value(self):
+        # Every point on one leading value: a grid of 2 x 1001 x 1001
+        # corners, for which the replaced stepped tables took five float64
+        # tables of 1001 x 1001 cells (40 MB).
+        coords = Stream(derive(100, "one-leading-value")).uniform_block(3000).reshape(1000, 3)
+        coords[:, 0] = coords[0, 0]
+        assert_search_memory_bounded(PointSet(coords))
+
+
+def assert_search_memory_bounded(ps):
+    # The module's bound: bitset tables and rank maps, a frontier of at
+    # most L * C boxes of 16 d + 8 bytes, and one chunk's working arrays,
+    # four 64 KiB arrays and about 100 d bytes per child.  Nothing of it
+    # may outlive the call.
+    n, d = ps.coords.shape
+    search = discrepancy._BoxSearch(ps.coords, discrepancy._grids(ps.coords))
+    tables = d * -(-n // 64) * 8 * (n + 1) + 2 * d * (n + 1)
+    chunk = max(search.scorer.block, 2**d)
+    levels = max(int(np.ceil(np.log2(len(g)))) for g in search.grids)
+    bound = tables + levels * chunk * (16 * d + 8) + 4 * (1 << 16) + 100 * d * chunk
+    star_discrepancy_exact(pset([0.5, 0.5, 0.5]))  # first-call imports
+    tracemalloc.start()
+    try:
+        star_discrepancy_exact(ps)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert current < 1 << 16
 
 
 class TestLowerEstimate:
