@@ -10,60 +10,50 @@ counting (x <= y).  Evaluating both sides on the grid therefore gives the
 exact supremum with no epsilon perturbation anywhere; coordinates are
 exact binary64 values and strict/non-strict comparisons are well defined.
 
-Every exact kernel values a corner with the same binary64 operations in
+The exact kernel values a corner with the same binary64 operations in
 the same order as a direct evaluation: volume ((1*a)*b)*c, then
 closed/N - volume, volume - open/N and their maximum, in the one function
 that the lower estimate shares (``_corner_values``).  The reported box is
 the lexicographically smallest maximizer; it is closed-sided when its
-closed surplus is at least its open deficiency.  The kernel is chosen by
-dimension: a blocked table for d <= 2 and a search over boxes for d >= 3.
+closed surplus is at least its open deficiency.
 
-For d <= 2 there is one table (d = 1 is a table of one row), built and
-scored in blocks of about 16k cells (at least one row), so it takes O(N)
-memory rather than O(N^2).  Its corners are scanned in lexicographic
-order and the best value is replaced only by a strictly larger one.  It
-takes two passes over its blocks of rows.
-The first computes, per block, an upper bound on its cells from the
-closed counts of its last row with the volumes of its first row, and the
-volumes of its last row with the open counts of the row above it; counts
-only grow down the rows and along them, and division by N, products of
-non-negative numbers and a - b are monotone under round-to-nearest, so
-the bound holds in binary64.  It also computes the exact values of every
-block's last row; their maximum, the floor, is attained by some corner.
-The second pass scores a block only if its bound is at least the floor
-and above the best value so far.  A skipped block holds no corner above
-the floor or the best value, so it cannot hold the first strict maximum,
-and the result is the one the full scan gives.  A block whose bound
-equals the floor is scored, as an earlier corner may tie with the floor.
-
-For d >= 3 the kernel is a branch and bound over boxes [lo, hi] of grid
-indices (Thiemard, "An algorithm to compute bounds for the star
+In every dimension the kernel is a branch and bound over boxes [lo, hi]
+of grid indices (Thiemard, "An algorithm to compute bounds for the star
 discrepancy", J. Complexity 2001).  A corner of the box has at most the
 closed count C(hi) of hi, at least the open count O(lo) of lo, and a
 volume between vol(lo) and vol(hi), so its value is at most the box's
-bound max(C(hi)/N - vol(lo), vol(hi) - O(lo)/N); by the monotonicity above
-this holds in binary64.  The floor is the largest value known to be
-attained: the closed side at each bounded box's hi, the open side at its
-lo, and the value of each single corner scored, the points' own corners
-first.  A box whose bound is below the floor holds no maximizer and is
-dropped; one whose bound equals it is kept, as a tie may lie at a smaller
-corner.  From the whole grid, a box is split at the midpoint of every axis
-into at most 2^d children, each bounded with two exact counts from the
-lower estimate's bitsets (``_CornerScorer``).  A single corner's bound is
-its value; of equal values the lexicographically smallest corner (in grid
-indices, axis by axis) is kept, so the result is the full scan's.
+bound max(C(hi)/N - vol(lo), vol(hi) - O(lo)/N).  Division by N, products
+of non-negative numbers and a - b (rising in a, falling in b) are
+monotone under round-to-nearest, so the bound holds in binary64.  The
+floor is the largest value known to be attained: the closed side at each
+bounded box's hi, the open side at its lo, and the value of each single
+corner scored, the points' own corners first.  A box whose bound is below
+the floor holds no maximizer and is dropped; one whose bound equals it is
+kept, as a tie may lie at a smaller corner.  From the whole grid, a box is
+split at the midpoint of every axis into at most 2^d children, each
+bounded with two exact counts from the lower estimate's count tables
+(``_CornerScorer``: per-axis bitsets for d >= 3, plane counts for
+d <= 2).  A single corner's bound is its value; of equal values the
+lexicographically smallest corner (in grid indices, axis by axis) is
+kept, so the result is the full scan's.
 
 The frontier is a stack, searched depth first a chunk at a time: the last
 max(1, B / 2^d) boxes pushed are split and their children bounded, where
-B is the estimate's block of corners (2048 at N = 128, so a chunk is 256
-boxes at d = 3), so that a chunk's bitset rows fill the estimate's 64 KiB.
-The kept children of a chunk are pushed sorted by bound, best last, and
-lie one level below their parents, so the stack holds one chunk's children
-at most per level: with C = max(B, 2^d) and L = ceil(log2) of the longest
-grid, at most L * C boxes of 16 d + 8 bytes (2 d grid indices and a bound).
-The bitset tables take about d * N * min(N, 4096) / 8 bytes, their rank
-maps 2 * d * (N + 1) bytes per 4096 points, and one chunk's working arrays
-four 64 KiB arrays of bitset rows and about 100 d bytes per child.
+B is the scorer's block of corners, sized so that the words their counts
+read fill 64 KiB: for bitsets 2048 at N = 128, so a chunk is 256 boxes at
+d = 3, and for plane counts 1024, so a chunk is 256 boxes at d = 2.  The
+kept children of a chunk are pushed sorted by bound, best last, and lie
+one level below their parents, so the stack holds one chunk's children at
+most per level: with C = max(B, 2^d) and L = ceil(log2) of the longest
+grid, at most L * C boxes of 16 d + 8 bytes (2 d grid indices and a
+bound).  The grids and the points' grid indices take 16 d (N + 1) bytes.
+For d >= 3 the bitset tables take about d * N * min(N, 4096) / 8 bytes,
+their rank maps 2 * d * (N + 1) bytes per 4096 points, and one chunk's
+working arrays four 64 KiB arrays of bitset rows and about 100 d bytes
+per child.  For d <= 2 a chunk of s <= 4096 points keeps cum, (s + 1) x
+(s // 64 + 2) uint16, and word, (s // 64 + 1) x 65 uint64, about 130
+bytes per point, and rank maps of at most 6 (N + 1) bytes; one chunk's
+working arrays take about 100 d + 100 bytes per child.
 """
 
 from __future__ import annotations
@@ -190,189 +180,24 @@ def _grids(coords: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-#: Cells per block of the d <= 2 prefix-count table (a block is at least one
-#: row).  With rows of up to this many cells the block buffers (closed
-#: counts, open counts and volumes, float64) take 384 KiB, and a block's few
-#: dozen numpy calls are spread over enough cells.
-_BLOCK_CELLS = 16384
-
-
-class _ExactKernel:
-    """d <= 2: one table of corners of the last two axes, in blocks of rows.
-
-    A table holds, per corner, the closed count and the open count of the
-    points.  A point counts in the closed table from its own grid index on
-    each axis, and in the open table from the next one.  ``blocks_seen``
-    and ``blocks_scored`` count the blocks of rows and those scored.
-    """
-
-    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
-        self.n = coords.shape[0]
-        self.grid_u, self.grid_v = grids
-        u, v = coords.T
-        self.closed_rows = np.searchsorted(self.grid_u, u, "left")
-        self.closed_cols = np.searchsorted(self.grid_v, v, "left")
-        self.open_rows = np.searchsorted(self.grid_u, u, "right")
-        self.open_cols = np.searchsorted(self.grid_v, v, "right")
-        self.value = -np.inf
-        self.upper: list[float] = []
-        self.closed = False
-        self.blocks_seen = 0
-        self.blocks_scored = 0
-
-    def _keep(self, cand: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray,
-              r0: int) -> None:
-        """Keeps the first strict maximum of ``cand``, cells of rows r0 on."""
-        i = int(cand.argmax())
-        if cand[i] > self.value:
-            r, c = divmod(i, len(self.grid_v))
-            self.value = float(cand[i])
-            self.upper = [float(self.grid_u[r0 + r]), float(self.grid_v[c])]
-            self.closed = bool(d_plus[r, c] >= d_minus[r, c])
-
-    def run(self) -> None:
-        """The table in blocks of rows and two passes (see the module).
-
-        A table row holds the closed counts of the row's corners, then their
-        open counts, and a point is kept as the flat index of the cell from
-        which on it counts.  A block's counts are ``carry`` (per column, the
-        points in the rows above it) plus its own points, cumulated down the
-        rows and then across the columns.
-        """
-        n_rows, n_cols = len(self.grid_u), len(self.grid_v)
-        self.width = 2 * n_cols
-        self.block_rows = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
-        self.edges = list(range(0, n_rows, self.block_rows)) + [n_rows]
-        self.first_rows = np.array(self.edges[:-1])
-        self.last_rows = np.array(self.edges[1:]) - 1
-        self.counts = np.empty((self.block_rows, 2, n_cols))
-        self.vols = np.empty((self.block_rows, n_cols))
-        self.carry = np.empty(self.width)
-        self.hit = np.empty(self.width, dtype=bool)
-        cells = np.concatenate((self.closed_rows * self.width + self.closed_cols,
-                                self.open_rows * self.width + n_cols + self.open_cols))
-        cells.sort()
-        cuts = np.searchsorted(cells, np.array(self.edges) * self.width).tolist()
-        cols = cells % self.width
-        row_vol = self.grid_u  # a row's volume is 1 * u == u
-        bounds, floor = self._bounds(cols, cuts, row_vol)
-        self.blocks_seen += len(bounds)
-        self.carry.fill(0.0)
-        carried = 0  # ``carry`` counts the points in the rows before this one
-        for r0, r1, lo, hi, bound in zip(self.edges, self.edges[1:], cuts, cuts[1:],
-                                         bounds.tolist()):
-            # Not skipped on bound == floor: an earlier cell may equal the floor.
-            if bound < floor or bound <= self.value:
-                continue
-            if carried != r0:
-                self.carry[:] = np.bincount(cols[:lo], minlength=self.width)
-            self._score(r0, r1, cells[lo:hi] - r0 * self.width, row_vol)
-            carried = r1
-            self.blocks_scored += 1
-
-    def _bounds(self, cols: np.ndarray, cuts: list[int],
-                row_vol: np.ndarray) -> tuple[np.ndarray, float]:
-        """Pass 1: per block, a bound on its cells; and the floor.
-
-        The blocks' last rows form a table of their own, one row per block,
-        copied from per-column running counts (``carry`` plus the columns
-        ``cols`` of each block's points) in chunks of ``block_rows`` rows.
-        A cell (r, c) of the block [r0, r1) has closed count at most that of
-        (r1-1, c) and volume at least row_vol[r0] * grid_v[c]; its open
-        count is at least that of (r0-1, c) (0 for the first block) and its
-        volume at most row_vol[r1-1] * grid_v[c].  Division by N,
-        products of non-negative numbers and a - b (rising in a, falling in
-        b) are monotone under round-to-nearest, so the cell's closed and
-        open values are at most those of the bounding counts and volumes:
-        the bound holds in binary64.  The last rows' values take the
-        operations of ``_corner_values`` in its order (fused here with the
-        bounds, whose buffers they share), so some cell attains the floor.
-        """
-        k = self.block_rows
-        n_blocks = len(cuts) - 1
-        first_vol, last_vol = row_vol[self.first_rows], row_vol[self.last_rows]
-        bounds = np.empty(n_blocks)
-        floor = -np.inf
-        self.carry.fill(0.0)
-        above = np.zeros(len(self.grid_v))  # open counts / N of the row above
-        for b0 in range(0, n_blocks, k):
-            m = min(k, n_blocks - b0)
-            counts = self.counts[:m]
-            rows = counts.reshape(m, -1)
-            for i, b in enumerate(range(b0, b0 + m)):
-                np.add.at(self.carry, cols[cuts[b]:cuts[b + 1]], 1.0)
-                rows[i] = self.carry
-            np.add.accumulate(counts, axis=2, out=counts)
-            np.divide(counts, self.n, out=counts)
-            closed, opened = counts[:, 0], counts[:, 1]
-            vols, bound = self.vols[:m], bounds[b0:b0 + m]
-            np.multiply(first_vol[b0:b0 + m, None], self.grid_v, out=vols)
-            np.subtract(closed, vols, out=vols)
-            np.maximum.reduce(vols, axis=1, out=bound)
-            np.multiply(last_vol[b0:b0 + m, None], self.grid_v, out=vols)
-            np.subtract(closed, vols, out=closed)
-            floor = max(floor, np.maximum.reduce(closed, axis=None))
-            # Open counts above each block: the previous block's last row.
-            np.subtract(vols[0], above, out=closed[0])
-            np.subtract(vols[1:], opened[:-1], out=closed[1:])
-            above[:] = opened[-1]
-            np.maximum(bound, np.maximum.reduce(closed, axis=1), out=bound)
-            np.subtract(vols, opened, out=opened)
-            floor = max(floor, np.maximum.reduce(opened, axis=None))
-        return bounds, float(floor)
-
-    def _score(self, r0: int, r1: int, cells: np.ndarray, row_vol: np.ndarray) -> None:
-        """Pass 2: every cell of the block [r0, r1); keeps the first strict maximum."""
-        m = r1 - r0
-        counts = self.counts[:m]
-        self._cumulate(counts.reshape(m, -1), cells)
-        np.add.accumulate(counts, axis=2, out=counts)
-        d_plus, d_minus = counts[:, 0], counts[:, 1]  # counts in, values out
-        vols = self.vols[:m]
-        np.multiply(row_vol[r0:r1, None], self.grid_v, out=vols)
-        cand = _corner_values(d_plus, d_minus, self.n, vols, d_plus, d_minus)
-        self._keep(cand.reshape(-1), d_plus, d_minus, r0)
-
-    def _cumulate(self, block: np.ndarray, cells: np.ndarray) -> None:
-        """Carry plus the block's points (flat cells), cumulated down the rows."""
-        np.copyto(block, self.carry)
-        if cells.size:
-            rows, cols = np.divmod(cells, self.width)
-            # Only the columns that hold points change down the rows.
-            self.hit.fill(False)
-            self.hit[cols] = True
-            hit = np.flatnonzero(self.hit)
-            steps = np.zeros((block.shape[0], hit.size))
-            np.add.at(steps.reshape(-1), rows * hit.size + np.searchsorted(hit, cols), 1.0)
-            steps[0] += self.carry[hit]
-            block[:, hit] = np.add.accumulate(steps, axis=0, out=steps)
-        self.carry[:] = block[-1]
-
-
 def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
     """The exact kernel behind both public entry points; ``None`` is no budget."""
     coords = ps.coords
-    n, d = coords.shape
     grids = _grids(coords)
     required = 1
     for g in grids:
         required *= len(g)
     if budget is not None and required > budget:
         raise BudgetExceeded(required, budget)
-    if d == 1:
-        # A leading axis with the single grid value 1, below which every
-        # point lies, changes no count and no volume (1 * a == a): d = 1 is
-        # a table of one row.
-        coords = np.column_stack((np.zeros(n), coords))
-        grids.insert(0, np.ones(1))
-    kernel = _BoxSearch(coords, grids) if d >= 3 else _ExactKernel(coords, grids)
-    kernel.run()
-    return DiscrepancyCertificate(kernel.value, AnchoredBox(np.array(kernel.upper[-d:])),
-                                  kernel.closed)
+    search = _BoxSearch(coords, grids)
+    search.run()
+    return DiscrepancyCertificate(search.value, AnchoredBox(np.array(search.upper)),
+                                  search.closed)
 
 
 def star_discrepancy_exact(ps: PointSet, budget: int = 10**9) -> DiscrepancyCertificate:
-    """Exact star discrepancy via critical-grid enumeration (see the module).
+    """Exact star discrepancy over the critical grid, by a branch and bound
+    over boxes of grid indices (see the module).
 
     Ties go to the lexicographically smallest corner, and the side is
     closed when the closed surplus is at least the open deficiency there.
@@ -393,14 +218,22 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     return _exact(ps, None)
 
 
-#: Points per chunk of the lower estimate's bitsets: 64 uint64 words.
+#: Points per chunk of the scorer's counts: 64 uint64 words of bitsets, or
+#: 64 blocks of 64 points of a plane, whose counts fit uint16.
 _CHUNK_POINTS = 4096
 
-#: uint64 words of a block's bitset rows (64 KiB): a block of the lower
-#: estimate's corners fills them with its open and closed rows of one chunk,
-#: and is at least one corner; the exact search's chunks of boxes fill them
-#: with their children's rows.
+#: uint64 words of a block's rows (64 KiB): a block of the lower estimate's
+#: corners fills them with its open and closed rows of one chunk, and is at
+#: least one corner; the exact search's chunks of boxes fill them with their
+#: children's rows.
 _ESTIMATE_WORDS = 1 << 13
+
+#: Words a plane count reads per row and chunk: two of ``cum``, one prefix
+#: word and its mask.
+_PLANE_WORDS = 4
+
+#: The masks of the low r bits of a word, r = 0, ..., 63.
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 class _CornerScorer:
@@ -413,17 +246,33 @@ class _CornerScorer:
     product of the corner's components, so every value is the binary64
     result a corner-by-corner evaluation gives.
 
-    The counts are exact integers read from per-axis cumulative bitsets.
-    On axis j the points a corner holds are those whose grid index on that
-    axis is below a row t: row k for the open count at grid index k, row
-    min(k + 1, distinct values) for the closed one.  The points are split
-    into chunks of at most 4096, one bit per point.  Per chunk and axis,
-    row i of a uint64 table holds the chunk's first i points in grid index
-    order, and a rank map (the number of the chunk's points below each
-    row) turns every row into a table row.  A count is the popcount of the
-    AND of one table row per axis, summed over the chunks.  The tables take
-    about d * N * min(N, 4096) / 8 bytes and the rank maps 2 * d * (N + 1)
-    bytes per chunk; a block's AND arrays take 64 KiB each.
+    The counts are exact integers.  On axis j the points a corner holds are
+    those whose grid index on that axis is below a row t: row k for the
+    open count at grid index k, row min(k + 1, distinct values) for the
+    closed one.  The points are split into chunks of at most 4096, each
+    with a rank map per axis: the number of the chunk's points below each
+    row.  A count is summed over the chunks.
+
+    For d >= 3 the counts come from per-axis cumulative bitsets, one bit
+    per point: per chunk and axis, row i of a uint64 table holds the
+    chunk's first i points in grid index order, and the rank map turns
+    every row into a table row.  A count is the popcount of the AND of one
+    table row per axis.  The tables take about d * N * min(N, 4096) / 8
+    bytes and the rank maps 2 * d * (N + 1) bytes per chunk; a block's AND
+    arrays take 64 KiB each.
+
+    For d <= 2 they come from plane counts.  The points are sorted stably
+    by their last-axis grid index before they are chunked, and a chunk of
+    s points is cut into W = s // 64 + 1 blocks of 64 (the last one short
+    or empty), so the t = vmap[b] points below the last-axis row b are the
+    chunk's first t.  ``cum[i, w]`` (uint16, (s + 1) x (W + 1)) counts the
+    chunk's first i points in first-axis order that lie in blocks below w,
+    and ``word[w, c]`` (uint64, W x 65) is the OR of the bits of block w's
+    first c points in first-axis order.  With i = umap[a] and q = t >> 6,
+    the count below the rows (a, b) is cum[i, q] plus the popcount of
+    word[q, cum[i, q + 1] - cum[i, q]] masked to its low t & 63 bits.  The
+    planes take about 130 bytes per point and a row reads ``_PLANE_WORDS``
+    words per chunk.  At d = 1 the count is vmap[b].
     """
 
     def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
@@ -433,15 +282,27 @@ class _CornerScorer:
         self.ranks = np.column_stack([np.searchsorted(g, column)
                                       for g, column in zip(self.grids, coords.T)])
         self.top = np.array([len(g) - 1 for g in self.grids])
-        self.chunks = [self._chunk(self.ranks[s:s + _CHUNK_POINTS])
-                       for s in range(0, self.n, _CHUNK_POINTS)]
-        words = self.chunks[0][0][0].shape[1]
+        self.planes = len(grids) <= 2
+        if self.planes:
+            order = np.argsort(self.ranks[:, -1], kind="stable")
+            self.chunks = [self._plane(self.ranks[order[s:s + _CHUNK_POINTS]])
+                           for s in range(0, self.n, _CHUNK_POINTS)]
+            words = _PLANE_WORDS
+        else:
+            self.chunks = [self._chunk(self.ranks[s:s + _CHUNK_POINTS])
+                           for s in range(0, self.n, _CHUNK_POINTS)]
+            words = self.chunks[0][0][0].shape[1]
         #: Corners per block: their open and closed rows of a chunk fill
         #: ``_ESTIMATE_WORDS``.
         self.block = max(1, _ESTIMATE_WORDS // (2 * words))
         self.vols, self.d_plus, self.d_minus = (np.empty(self.block) for _ in range(3))
         self.value = -np.inf
         self.box: AnchoredBox | None = None
+
+    def _rank_maps(self, ranks: np.ndarray) -> list[np.ndarray]:
+        """Per axis, the number of ``ranks``' points below each row."""
+        return [np.concatenate(([0], np.bincount(rank, minlength=top).cumsum())).astype(np.int16)
+                for rank, top in zip(ranks.T, self.top)]
 
     def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per axis, the cumulative table of ``ranks``' points and its rank map."""
@@ -450,14 +311,37 @@ class _CornerScorer:
         word = pos >> 6
         bit = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
         out = []
-        for rank, top in zip(ranks.T, self.top):
+        for rank, rank_map in zip(ranks.T, self._rank_maps(ranks)):
             order = np.argsort(rank)
             table = np.zeros((size + 1, word[-1] + 1), dtype=np.uint64)
             table[pos + 1, word[order]] = bit[order]
             np.bitwise_or.accumulate(table, axis=0, out=table)
-            rank_map = np.concatenate(([0], np.bincount(rank, minlength=top).cumsum()))
-            out.append((table, rank_map.astype(np.int16)))
+            out.append((table, rank_map))
         return out
+
+    def _plane(self, ranks: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        """The plane counts of ``ranks``' points, in last-axis order (see
+        the class): umap times the columns of ``cum``, vmap, and ``cum``
+        and ``word`` flattened; only vmap at d = 1."""
+        maps = self._rank_maps(ranks)
+        if len(maps) == 1:
+            return None, maps[0], None, None
+        size = ranks.shape[0]
+        columns = (size >> 6) + 2
+        order = np.argsort(ranks[:, 0], kind="stable")  # positions in first-axis order
+        block = order >> 6
+        cum = np.zeros((size + 1, columns), dtype=np.uint16)
+        cum[np.arange(1, size + 1), block + 1] = 1
+        np.add.accumulate(cum, axis=1, out=cum)
+        np.add.accumulate(cum, axis=0, out=cum)
+        # Grouped by block, each block's points stay in first-axis order.
+        order = order[np.argsort(block, kind="stable")]
+        pos = np.arange(size)
+        word = np.zeros((columns - 1, 65), dtype=np.uint64)
+        word[pos >> 6, (pos & 63) + 1] = np.left_shift(np.uint64(1),
+                                                       (order & 63).astype(np.uint64))
+        np.bitwise_or.accumulate(word, axis=1, out=word)
+        return maps[0].astype(np.int32) * columns, maps[1], cum.ravel(), word.ravel()
 
     def rows_of(self, corners: np.ndarray, side: str) -> np.ndarray:
         """Per corner and axis, the open (``side="left"``) or closed
@@ -466,8 +350,10 @@ class _CornerScorer:
                                 for j, g in enumerate(self.grids)])
 
     def count(self, rows: np.ndarray) -> np.ndarray:
-        """Per column of ``rows`` (one table row per axis), the number of
-        points below the row on every axis."""
+        """Per column of ``rows`` (one row per axis), the number of points
+        below the row on every axis."""
+        if self.planes:
+            return self._plane_count(rows)
         count = 0
         for chunk in self.chunks:
             hit = None
@@ -476,6 +362,22 @@ class _CornerScorer:
                 hit = axis_hit if hit is None else np.bitwise_and(hit, axis_hit, out=hit)
             # Transposed, the sum runs along the block, not across a few words.
             count = count + np.bitwise_count(hit).T.copy().sum(axis=0)
+        return count
+
+    def _plane_count(self, rows: np.ndarray) -> np.ndarray:
+        """``count`` from the plane counts (d <= 2)."""
+        count = np.zeros(rows.shape[1], dtype=np.int64)
+        for umap, vmap, cum, word in self.chunks:
+            t = vmap.take(rows[-1])
+            if cum is None:
+                count += t
+                continue
+            q = t >> 6
+            at = umap.take(rows[0]) + q  # the flat index of cum[i, q]
+            below = cum.take(at)
+            bits = word.take(q * 65 + (cum[1:].take(at) - below))
+            count += below
+            count += np.bitwise_count(bits & _LOW_BITS.take(t & 63))
         return count
 
     def offer(self, corners: np.ndarray, open_rows: np.ndarray, closed_rows: np.ndarray,
@@ -497,7 +399,8 @@ class _CornerScorer:
 
 
 class _BoxSearch:
-    """d >= 3: branch and bound over boxes of grid indices (see the module).
+    """The exact kernel: a branch and bound over boxes of grid indices (see
+    the module).
 
     A chunk of boxes is an int array (axis, end, box): end 0 is lo and end
     1 is hi.  A box's open row is its lo and its closed row min(hi + 1,
@@ -629,13 +532,14 @@ def star_discrepancy_lower_estimate(
     as passed).  For a fixed seed the random corners form a prefix stream,
     so a larger budget never lowers the result.
 
-    The counts come from per-axis cumulative bitsets over the points'
-    grid indices (see ``_CornerScorer``), built once per call: tables of
-    about d * N * min(N, 4096) / 8 bytes, a rank map of 2 * d * (N + 1)
-    bytes per chunk of 4096 points, and working arrays of a few words per
-    point and axis.  The candidates are scored in blocks whose open and
-    closed rows of one chunk fill 64 KiB (at least one corner),
-    and the random corners are drawn one block at a time
+    The counts come from count tables over the points' grid indices (see
+    ``_CornerScorer``), built once per call: for d >= 3 per-axis
+    cumulative bitsets of about d * N * min(N, 4096) / 8 bytes, for d <= 2
+    plane counts of about 130 bytes per point, rank maps of at most
+    3 * d * (N + 1) bytes per chunk of 4096 points, and working arrays of a
+    few words per point and axis.  The candidates are scored in blocks
+    whose open and closed rows of one chunk fill 64 KiB (at least one
+    corner), and the random corners are drawn one block at a time
     (``Stream.randbelow_rows``), so memory does not grow with the budget.
     """
     if budget < 1:

@@ -241,6 +241,22 @@ class TestAgainstReplacedKernels:
         assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
         assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact_2d(ps))
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 4095, 4096, 4097])
+    def test_2d_ties_across_plane_blocks_and_chunks(self, n):
+        # The plane counts cut the points, in last-axis order, into blocks
+        # of 64 and chunks of 4096.  The points at sorted positions 60-69
+        # and 4090-4101 share a value on each axis, so ties on the last
+        # axis straddle a block edge and the chunk edge where N reaches them.
+        coords = lhs_sample(n, 2, seed=derive(82, f"plane-edges-{n}")).coords.copy()
+        for lo, hi in ((60, 70), (4090, 4102)):
+            for j in (1, 0):
+                tied = np.argsort(coords[:, j])[lo:hi]
+                coords[tied, j] = coords[tied[:1], j]
+        ps = PointSet(coords)
+        ref = reference_star_discrepancy_exact_2d(ps)
+        assert_bit_equal(star_discrepancy_exact_2d(ps), ref)
+        assert_bit_equal(star_discrepancy_exact(ps), ref)
+
     @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
     def test_3d_tables_of_several_row_blocks(self, sampler):
         # 141 x 141 corners per table: two blocks of rows.
@@ -309,6 +325,10 @@ class TestKernelSharing:
             assert peak < 1 << 20
             assert current < 1 << 16
 
+    @pytest.mark.parametrize("n", [3200, 10000])
+    def test_plane_memory_is_bounded_and_released(self, n):
+        assert_search_memory_bounded(lhs_sample(n, 2, seed=derive(80, f"plane-memory-{n}")))
+
 
 TIE_N, TIE_A = 1 << 14, (1 << 12) + 2
 
@@ -322,12 +342,6 @@ def tie_across_blocks():
     u[:TIE_A] = 0.0
     u[TIE_A:2 * TIE_A - 1] = 0.5
     return PointSet(np.column_stack((u, np.arange(TIE_N) / TIE_N)))
-
-
-def run_kernel(ps):
-    kernel = discrepancy._ExactKernel(ps.coords, discrepancy._grids(ps.coords))
-    kernel.run()
-    return kernel
 
 
 def run_search(ps, search=discrepancy._BoxSearch):
@@ -384,9 +398,7 @@ class TestBoundAndSkip:
     def test_paper_tables_score_under_a_tenth_of_their_blocks(self):
         for seed in range(3):
             ps = lhs_sample(3200, 2, seed=derive(87, seed))
-            kernel = run_kernel(ps)
-            assert kernel.blocks_seen == 641
-            assert kernel.blocks_scored < kernel.blocks_seen / 10
+            assert assert_search_counters(ps).boxes_bounded < 3201**2 / 10
             assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
 
     def test_counters_are_deterministic(self):
@@ -517,16 +529,26 @@ class TestSteppedTables:
 
 
 def assert_search_memory_bounded(ps):
-    # The module's bound: bitset tables and rank maps, a frontier of at
-    # most L * C boxes of 16 d + 8 bytes, and one chunk's working arrays,
-    # four 64 KiB arrays and about 100 d bytes per child.  Nothing of it
-    # may outlive the call.
+    # The module's bound: a frontier of at most L * C boxes of 16 d + 8
+    # bytes, and for d >= 3 bitset tables and rank maps and one chunk's
+    # working arrays, four 64 KiB arrays and about 100 d bytes per child;
+    # for d <= 2 the grids and grid indices, cum, word and rank maps per
+    # chunk of points, and about 100 d + 100 bytes per child.  Nothing of
+    # it may outlive the call.
     n, d = ps.coords.shape
     search = discrepancy._BoxSearch(ps.coords, discrepancy._grids(ps.coords))
-    tables = d * -(-n // 64) * 8 * (n + 1) + 2 * d * (n + 1)
     chunk = max(search.scorer.block, 2**d)
     levels = max(int(np.ceil(np.log2(len(g)))) for g in search.grids)
-    bound = tables + levels * chunk * (16 * d + 8) + 4 * (1 << 16) + 100 * d * chunk
+    frontier = levels * chunk * (16 * d + 8)
+    if d <= 2:
+        sizes = [min(n - s, discrepancy._CHUNK_POINTS)
+                 for s in range(0, n, discrepancy._CHUNK_POINTS)]
+        planes = sum((s + 1) * (s // 64 + 2) * 2 + (s // 64 + 1) * 65 * 8 + 6 * (n + 1)
+                     for s in sizes)
+        bound = 16 * d * (n + 1) + planes + frontier + (100 * d + 100) * chunk
+    else:
+        tables = d * -(-n // 64) * 8 * (n + 1) + 2 * d * (n + 1)
+        bound = tables + frontier + 4 * (1 << 16) + 100 * d * chunk
     star_discrepancy_exact(pset([0.5, 0.5, 0.5]))  # first-call imports
     tracemalloc.start()
     try:
@@ -583,10 +605,11 @@ def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
     return value, found
 
 
-def block_rows(n):
-    # Corners whose open and closed rows of the first chunk of points (one
-    # bit per point, 64 per word) fill the block buffer.
-    words = -(-min(n, discrepancy._CHUNK_POINTS) // 64)
+def block_rows(n, d):
+    # Corners whose open and closed rows of the first chunk of points fill
+    # the block buffer: bitset rows of one bit per point, 64 per word, for
+    # d >= 3, and the words a plane count reads for d <= 2.
+    words = -(-min(n, discrepancy._CHUNK_POINTS) // 64) if d >= 3 else discrepancy._PLANE_WORDS
     return max(1, discrepancy._ESTIMATE_WORDS // (2 * words))
 
 
@@ -605,7 +628,7 @@ class TestLowerEstimateAgainstScalarEstimator:
     @pytest.mark.parametrize("n,d", [(40, 1), (40, 3), (128, 2), (128, 4), (3200, 2)])
     def test_budgets_around_the_block_size(self, n, d):
         ps = lhs_sample(n, d, derive(90, f"block-{n}-{d}"))
-        rows = block_rows(n)
+        rows = block_rows(n, d)
         for budget in (rows - 1, rows, rows + 1):
             assert_estimate_bit_equal(ps, budget, seed=budget)
 
@@ -630,7 +653,7 @@ class TestLowerEstimateAgainstScalarEstimator:
     def test_extra_boxes_over_several_blocks(self):
         ps = uniform_sample(3200, 2, derive(93, "many-extra"))
         stream = Stream(derive(93, "extra-boxes"))
-        extra = [AnchoredBox(stream.uniform_block(2)) for _ in range(3 * block_rows(3200) + 5)]
+        extra = [AnchoredBox(stream.uniform_block(2)) for _ in range(3 * block_rows(3200, 2) + 5)]
         assert_estimate_bit_equal(ps, 50, 1, extra)
         assert_estimate_bit_equal(ps, 50, 1, extra + [AnchoredBox(np.zeros(2))])
 
@@ -661,7 +684,7 @@ class TestLowerEstimateAgainstScalarEstimator:
         assert_estimate_bit_equal(PointSet(np.array(coords).reshape(n, d)), budget, seed, extra)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_word_edges(self, n, d):
         # One bit per point: the last word of a chunk is full, holds one
         # point, or is one short.
@@ -694,6 +717,15 @@ class TestLowerEstimateAgainstScalarEstimator:
         coords = np.array([[stream.randbelow(3) / 3, stream.randbelow(5) / 5]
                            for _ in range(4100)])
         assert_estimate_bit_equal(PointSet(coords), 300, seed=1)
+        # d = 2: the plane counts cut the points in last-axis order, so the
+        # shared values straddle sorted positions, on both axes.
+        stream = Stream(derive(98, "straddle-2d"))
+        for n, lo, hi in ((130, 60, 70), (130, 120, 130), (4100, 4090, 4100)):
+            coords = stream.uniform_block(n * 2).reshape(n, 2)
+            for j in (1, 0):
+                tied = np.argsort(coords[:, j])[lo:hi]
+                coords[tied, j] = coords[tied[0], j]
+            assert_estimate_bit_equal(PointSet(coords), 300, seed=n)
 
     @pytest.mark.parametrize("n", [65, discrepancy._CHUNK_POINTS + 1])
     def test_extra_boxes_off_the_grid(self, n):
