@@ -211,6 +211,14 @@ def check_against_replaced_kernels(ps):
         assert_bit_equal(cert_2d, cert)
 
 
+def tie_sorted_positions(coords, lo, hi):
+    # On each axis, last first, the points at sorted positions lo to hi - 1
+    # take the value at lo, so they tie and keep those positions.
+    for j in reversed(range(coords.shape[1])):
+        tied = np.argsort(coords[:, j])[lo:hi]
+        coords[tied, j] = coords[tied[:1], j]
+
+
 def lattice_pointset(stream, n, d, m):
     # Coordinates on {0, 1/m, ..., (m-1)/m}: ties on every axis and, for
     # small m, duplicate points.
@@ -249,9 +257,7 @@ class TestAgainstReplacedKernels:
         # axis straddle a block edge and the chunk edge where N reaches them.
         coords = lhs_sample(n, 2, seed=derive(82, f"plane-edges-{n}")).coords.copy()
         for lo, hi in ((60, 70), (4090, 4102)):
-            for j in (1, 0):
-                tied = np.argsort(coords[:, j])[lo:hi]
-                coords[tied, j] = coords[tied[:1], j]
+            tie_sorted_positions(coords, lo, hi)
         ps = PointSet(coords)
         ref = reference_star_discrepancy_exact_2d(ps)
         assert_bit_equal(star_discrepancy_exact_2d(ps), ref)
@@ -722,9 +728,7 @@ class TestLowerEstimateAgainstScalarEstimator:
         stream = Stream(derive(98, "straddle-2d"))
         for n, lo, hi in ((130, 60, 70), (130, 120, 130), (4100, 4090, 4100)):
             coords = stream.uniform_block(n * 2).reshape(n, 2)
-            for j in (1, 0):
-                tied = np.argsort(coords[:, j])[lo:hi]
-                coords[tied, j] = coords[tied[0], j]
+            tie_sorted_positions(coords, lo, hi)
             assert_estimate_bit_equal(PointSet(coords), 300, seed=n)
 
     @pytest.mark.parametrize("n", [65, discrepancy._CHUNK_POINTS + 1])
