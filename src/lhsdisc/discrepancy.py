@@ -264,7 +264,8 @@ class _CornerScorer:
     For d <= 2 they come from plane counts.  The points are sorted stably
     by their last-axis grid index before they are chunked, and a chunk of
     s points is cut into W = s // 64 + 1 blocks of 64 (the last one short
-    or empty), so the t = vmap[b] points below the last-axis row b are the
+    or empty).  With umap and vmap the chunk's rank maps on the first and
+    last axes, the t = vmap[b] points below the last-axis row b are the
     chunk's first t.  ``cum[i, w]`` (uint16, (s + 1) x (W + 1)) counts the
     chunk's first i points in first-axis order that lie in blocks below w,
     and ``word[w, c]`` (uint64, W x 65) is the OR of the bits of block w's
