@@ -17,47 +17,60 @@ that the lower estimate shares (``_corner_values``).  The reported box is
 the lexicographically smallest maximizer; it is closed-sided when its
 closed surplus is at least its open deficiency.
 
-In every dimension the kernel is a branch and bound over boxes [lo, hi]
-of grid indices (Thiemard, "An algorithm to compute bounds for the star
-discrepancy", J. Complexity 2001).  A corner of the box has at most the
-closed count C(hi) of hi, at least the open count O(lo) of lo, and a
-volume between vol(lo) and vol(hi), so its value is at most the box's
-bound max(C(hi)/N - vol(lo), vol(hi) - O(lo)/N).  Division by N, products
-of non-negative numbers and a - b (rising in a, falling in b) are
-monotone under round-to-nearest, so the bound holds in binary64.  The
-floor is the largest value known to be attained: the closed side at each
-bounded box's hi, the open side at its lo, and the value of each single
-corner scored, the points' own corners first.  A box whose bound is below
-the floor holds no maximizer and is dropped; one whose bound equals it is
-kept, as a tie may lie at a smaller corner.  From the whole grid, a box is
-split at the midpoint of every axis into at most 2^d children, each
-bounded with two exact counts from the lower estimate's count tables
-(``_CornerScorer``: per-axis bitsets for d >= 3, plane counts for
-d <= 2).  A single corner's bound is its value; of equal values the
-lexicographically smallest corner (in grid indices, axis by axis) is
-kept, so the result is the full scan's.
+In every dimension the kernel is a branch and bound over boxes of grid
+indices (Thiemard, "An algorithm to compute bounds for the star
+discrepancy", J. Complexity 2001).  A box is kept half-open as int32
+ranges [lo, he) with he = hi + 1 per axis, so that lo is its open row and
+he its closed row.  A corner of the box has at most the closed count C(hi)
+of hi, at least the open count O(lo) of lo, and a volume between vol(lo)
+and vol(hi), so its value is at most the box's bound
+max(C(hi)/N - vol(lo), vol(hi) - O(lo)/N).  Division by N, products of
+non-negative numbers and a - b (rising in a, falling in b) are monotone
+under round-to-nearest, so the bound holds in binary64.  The floor is the
+largest value known to be attained: the closed side at each bounded box's
+hi, the open side at its lo, and the value of each single corner scored,
+the points' own corners first.  A box whose bound is below the floor holds
+no maximizer and is dropped; one whose bound equals it is kept, as a tie
+may lie at a smaller corner.  From the whole grid, a box is split at
+mid = (lo + he + 1) >> 1 on every axis into at most 2^d children, [lo, mid)
+or [mid, he) per axis, each bounded with two exact counts from the lower
+estimate's count tables (``_CornerScorer``: per-axis bitsets for d >= 3,
+plane counts for d <= 2).  A single corner's bound is its value; of equal
+values the lexicographically smallest corner (in grid indices, axis by
+axis) is kept, so the result is the full scan's.
 
 The frontier is a stack, searched depth first a chunk at a time: the last
 max(1, B / 2^d) boxes pushed are split and their children bounded, where
-B is the scorer's block of corners, sized so that the words their counts
-read fill 64 KiB: for bitsets 2048 at N = 128, so a chunk is 256 boxes at
-d = 3, and for plane counts 1024, so a chunk is 256 boxes at d = 2.  The
-kept children of a chunk are pushed sorted by bound, best last, and lie
-one level below their parents, so the stack holds one chunk's children at
-most per level: with C = max(B, 2^d) and L = ceil(log2) of the longest
-grid, at most L * C boxes of 16 d + 8 bytes (2 d grid indices and a
-bound).  The grids and the points' grid indices take 16 d (N + 1) bytes.
-For d >= 3 the bitset tables take about d * N * min(N, 4096) / 8 bytes,
-their rank maps 2 * d * (N + 1) bytes per 4096 points, and one chunk's
-working arrays four 64 KiB arrays of bitset rows and about 100 d bytes
-per child.  For d <= 2 a chunk of s <= 4096 points keeps cum, (s + 1) x
-(s // 64 + 2) uint16, and word, (s // 64 + 1) x 65 uint64, about 130
-bytes per point, and rank maps of at most 6 (N + 1) bytes; one chunk's
-working arrays take about 100 d + 100 bytes per child.
+B is the scorer's block of corners.  For bitsets B is sized so that the
+words their counts read fill 64 KiB: 2048 at N = 128, so a chunk is 256
+boxes at d = 3.  Plane counts read only ``_PLANE_WORDS`` words a row, so a
+chunk's cost is mostly its fixed numpy calls, about 45, and B is sized by
+memory instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
+1024 at d = 1, is the largest power of two whose workspace keeps the
+paper's call (d = 2, N = 3200) under 1 MiB; there 1024 ran about 1.3 times
+slower and 4096 took the call to 1.14 MiB (2-vCPU host).  The kept
+children of a chunk are pushed sorted by bound, best last, and lie one
+level below their parents, so the stack holds one chunk's children at most
+per level: with C = max(B, 2^d) and L = ceil(log2) of the longest grid, at
+most L * C boxes of 8 d + 8 bytes (2 d int32 grid indices and a bound).
+
+A chunk works in one workspace allocated per call: the scorer's rows and
+counts of B corners and its scratch arrays, written with ``out=`` (see
+``_CornerScorer``), and the search's masks, about 17 d + 67 bytes per child
+in all (200 KiB at d = 2), plus two 64 KiB arrays of bitset rows and 16 KiB
+of popcounts for d >= 3.  The grids, shifted by one, and the points' grid
+indices take about 12 d N bytes.  For d >= 3 the bitset tables take about
+d * N * min(N, 4096) / 8 bytes and their rank maps 8 d (N + 2) bytes per
+4096 points.  For d = 2 a chunk of s <= 4096 points keeps cum, (s + 1) x
+(s // 64 + 2) uint16 with the columns padded to a multiple of 4, and word,
+(s // 64 + 1) x 65 uint64, about 130 bytes per point, and two rank maps of
+4 (N + 2) bytes each; for d = 1 the count is one rank map of 8 (N + 2)
+bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,25 +184,27 @@ def _corner_values(closed: np.ndarray, opened: np.ndarray, n: int, vols: np.ndar
     return np.maximum(d_plus, d_minus, out=vols)
 
 
-def _grids(coords: np.ndarray) -> list[np.ndarray]:
-    # Distinct coordinates per axis plus 1; 0 enters only as a coordinate.
-    out = []
-    for j in range(coords.shape[1]):
-        vals = np.unique(coords[:, j])
-        out.append(np.append(vals, 1.0))
-    return out
+def _grids(coords: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per axis, the distinct coordinates plus 1 (0 enters only as a
+    coordinate); and per point and axis, the grid index of its coordinate."""
+    grids = []
+    ranks = np.empty(coords.shape, dtype=np.int32)
+    for j, column in enumerate(coords.T):
+        values, ranks[:, j] = np.unique(column, return_inverse=True)
+        grids.append(np.append(values, 1.0))
+    return grids, ranks
 
 
 def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
     """The exact kernel behind both public entry points; ``None`` is no budget."""
-    coords = ps.coords
-    grids = _grids(coords)
+    grids, ranks = _grids(ps.coords)
     required = 1
     for g in grids:
         required *= len(g)
     if budget is not None and required > budget:
         raise BudgetExceeded(required, budget)
-    search = _BoxSearch(coords, grids)
+    search = _BoxSearch(grids, ranks)
+    del grids  # the search keeps its own copies, shifted by one
     search.run()
     return DiscrepancyCertificate(search.value, AnchoredBox(np.array(search.upper)),
                                   search.closed)
@@ -222,18 +237,26 @@ def star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
 #: 64 blocks of 64 points of a plane, whose counts fit uint16.
 _CHUNK_POINTS = 4096
 
-#: uint64 words of a block's rows (64 KiB): a block of the lower estimate's
+#: uint64 words of a block's rows for bitset counts (64 KiB): a block of
 #: corners fills them with its open and closed rows of one chunk, and is at
-#: least one corner; the exact search's chunks of boxes fill them with their
-#: children's rows.
+#: least one corner.
 _ESTIMATE_WORDS = 1 << 13
 
 #: Words a plane count reads per row and chunk: two of ``cum``, one prefix
 #: word and its mask.
 _PLANE_WORDS = 4
 
+#: Corners per block of plane counts (d <= 2), sized by memory (see the
+#: module).
+_PLANE_BLOCK = 1 << 11
+
 #: The masks of the low r bits of a word, r = 0, ..., 63.
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+
+
+def _views(buffers: np.ndarray, k: int) -> np.ndarray:
+    """The first 2 k elements of each row of ``buffers``, as (2, k) arrays."""
+    return buffers[:, :2 * k].reshape(len(buffers), 2, k)
 
 
 class _CornerScorer:
@@ -248,61 +271,85 @@ class _CornerScorer:
 
     The counts are exact integers.  On axis j the points a corner holds are
     those whose grid index on that axis is below a row t: row k for the
-    open count at grid index k, row min(k + 1, distinct values) for the
-    closed one.  The points are split into chunks of at most 4096, each
-    with a rank map per axis: the number of the chunk's points below each
-    row.  A count is summed over the chunks.
+    open count at grid index k, row k + 1 for the closed one.  The points
+    are split into chunks of at most 4096, each with a rank map per axis:
+    the number of the chunk's points below each row, with one extra row,
+    so that row top + 1 (top the grid index of 1.0) reads as row top.  A
+    count is summed over the chunks.
 
     For d >= 3 the counts come from per-axis cumulative bitsets, one bit
     per point: per chunk and axis, row i of a uint64 table holds the
     chunk's first i points in grid index order, and the rank map turns
     every row into a table row.  A count is the popcount of the AND of one
     table row per axis.  The tables take about d * N * min(N, 4096) / 8
-    bytes and the rank maps 2 * d * (N + 1) bytes per chunk; a block's AND
-    arrays take 64 KiB each.
+    bytes and the rank maps 8 * d * (N + 2) bytes per chunk.
 
     For d <= 2 they come from plane counts.  The points are sorted stably
     by their last-axis grid index before they are chunked, and a chunk of
     s points is cut into W = s // 64 + 1 blocks of 64 (the last one short
     or empty).  With umap and vmap the chunk's rank maps on the first and
     last axes, the t = vmap[b] points below the last-axis row b are the
-    chunk's first t.  ``cum[i, w]`` (uint16, (s + 1) x (W + 1)) counts the
-    chunk's first i points in first-axis order that lie in blocks below w,
-    and ``word[w, c]`` (uint64, W x 65) is the OR of the bits of block w's
-    first c points in first-axis order.  With i = umap[a] and q = t >> 6,
-    the count below the rows (a, b) is cum[i, q] plus the popcount of
-    word[q, cum[i, q + 1] - cum[i, q]] masked to its low t & 63 bits.  The
-    planes take about 130 bytes per point and a row reads ``_PLANE_WORDS``
-    words per chunk.  At d = 1 the count is vmap[b].
+    chunk's first t.  ``cum[i, w]`` (uint16, (s + 1) x (W + 1) padded to a
+    multiple of 4 columns) counts the chunk's first i points in first-axis
+    order that lie in blocks below w, and ``word[w, c]`` (uint64, W x 65)
+    is the OR of the bits of block w's first c points in first-axis order.
+    With i = umap[a] and q = t >> 6, the count below the rows (a, b) is
+    cum[i, q] plus the popcount of word[q, cum[i, q + 1] - cum[i, q]]
+    masked to its low t & 63 bits.  The planes take about 130 bytes per
+    point and a row reads ``_PLANE_WORDS`` words per chunk.  At d = 1 the
+    count is vmap[b], with one chunk of all the points.
+
+    The workspace is allocated once, for a block of B corners: ``rows``,
+    their open and closed rows (int32, 2 x d x B), ``counts``, their
+    counts (float64, 2 x B, which they are divided in), and two arrays that
+    ``count`` uses as scratch and its caller may use between counts:
+    ``floats``, three float64 arrays of 2 B (holding a count's int32 and
+    uint64 arrays), and ``spare``, int32 like ``rows`` (holding the plane
+    counts' uint16 arrays).  Bitset counts add two 64 KiB arrays of AND
+    rows and 16 KiB of popcounts.  Every index is in range, so the takes
+    name a mode only to write to ``out`` without numpy's buffer.
     """
 
-    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
-        self.n = coords.shape[0]
+    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray):
+        self.n, d = ranks.shape
         self.grids = grids
         #: Per point and axis, the grid index of its coordinate.
-        self.ranks = np.column_stack([np.searchsorted(g, column)
-                                      for g, column in zip(self.grids, coords.T)])
-        self.top = np.array([len(g) - 1 for g in self.grids])
-        self.planes = len(grids) <= 2
-        if self.planes:
+        self.ranks = ranks
+        self.top = np.array([len(g) - 1 for g in grids], dtype=np.int32)
+        self.planes = d <= 2
+        if d == 2:
             order = np.argsort(self.ranks[:, -1], kind="stable")
             self.chunks = [self._plane(self.ranks[order[s:s + _CHUNK_POINTS]])
                            for s in range(0, self.n, _CHUNK_POINTS)]
-            words = _PLANE_WORDS
+        elif d == 1:
+            # The count is the rank map, which needs no chunks of points.
+            self.chunks = [self._plane(self.ranks)]
         else:
             self.chunks = [self._chunk(self.ranks[s:s + _CHUNK_POINTS])
                            for s in range(0, self.n, _CHUNK_POINTS)]
-            words = self.chunks[0][0][0].shape[1]
-        #: Corners per block: their open and closed rows of a chunk fill
-        #: ``_ESTIMATE_WORDS``.
-        self.block = max(1, _ESTIMATE_WORDS // (2 * words))
-        self.vols, self.d_plus, self.d_minus = (np.empty(self.block) for _ in range(3))
+        #: Corners per block (see the module).
+        self.block = (_PLANE_BLOCK if self.planes else
+                      max(1, _ESTIMATE_WORDS // (2 * self.chunks[0][0][0].shape[1])))
+        rows = 2 * self.block
+        # The workspace (see the class), and typed views of its scratch.
+        self.rows = np.empty(rows * d, dtype=np.int32)
+        self.counts = np.empty((1, rows))
+        self.floats = np.empty((3, rows))
+        self.spare = np.empty(rows * d, dtype=np.int32)
+        self.float_ints = self.floats.view(np.int32)[:, :rows]
+        self.float_words = self.floats.view(np.uint64)
+        self.halves = self.spare.view(np.uint16).reshape(2, -1)
+        if not self.planes:
+            self.hits = np.empty((2, _ESTIMATE_WORDS), dtype=np.uint64)
+            self.pops = np.empty((2, _ESTIMATE_WORDS), dtype=np.uint8)
         self.value = -np.inf
         self.box: AnchoredBox | None = None
 
     def _rank_maps(self, ranks: np.ndarray) -> list[np.ndarray]:
-        """Per axis, the number of ``ranks``' points below each row."""
-        return [np.concatenate(([0], np.bincount(rank, minlength=top).cumsum())).astype(np.int16)
+        """Per axis, the number of ``ranks``' points below each row, and the
+        extra row."""
+        size = np.array([ranks.shape[0]])
+        return [np.concatenate(([0], np.bincount(rank, minlength=top).cumsum(), size))
                 for rank, top in zip(ranks.T, self.top)]
 
     def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -322,27 +369,34 @@ class _CornerScorer:
 
     def _plane(self, ranks: np.ndarray) -> tuple[np.ndarray | None, ...]:
         """The plane counts of ``ranks``' points, in last-axis order (see
-        the class): umap times the columns of ``cum``, vmap, and ``cum``
-        and ``word`` flattened; only vmap at d = 1."""
+        the class): umap times the row length of ``cum``, vmap, and ``cum``
+        and ``word`` flattened; at d = 1 only vmap, in float64 as it is the
+        count."""
         maps = self._rank_maps(ranks)
         if len(maps) == 1:
-            return None, maps[0], None, None
+            return None, maps[0].astype(np.float64), None, None
         size = ranks.shape[0]
-        columns = (size >> 6) + 2
+        blocks = (size >> 6) + 1
+        stride = (blocks + 4) & -4  # the W + 1 columns, padded to whole uint64s
         order = np.argsort(ranks[:, 0], kind="stable")  # positions in first-axis order
         block = order >> 6
-        cum = np.zeros((size + 1, columns), dtype=np.uint16)
-        cum[np.arange(1, size + 1), block + 1] = 1
-        np.add.accumulate(cum, axis=1, out=cum)
-        np.add.accumulate(cum, axis=0, out=cum)
+        # Row i of cum sums the steps of the first i points in first-axis
+        # order, a step being one in the columns past the point's block.
+        # Four uint16 columns add as one uint64, as no count reaches 2**16.
+        step = (np.arange(stride) > np.arange(blocks)[:, None]).astype(np.uint16)
+        cum = np.zeros((size + 1, stride), dtype=np.uint16)
+        wide = cum.view(np.uint64)
+        step.view(np.uint64).take(block, axis=0, out=wide[1:], mode="wrap")
+        np.add.accumulate(wide, axis=0, out=wide)
         # Grouped by block, each block's points stay in first-axis order.
         order = order[np.argsort(block, kind="stable")]
         pos = np.arange(size)
-        word = np.zeros((columns - 1, 65), dtype=np.uint64)
+        word = np.zeros((blocks, 65), dtype=np.uint64)
         word[pos >> 6, (pos & 63) + 1] = np.left_shift(np.uint64(1),
                                                        (order & 63).astype(np.uint64))
         np.bitwise_or.accumulate(word, axis=1, out=word)
-        return maps[0].astype(np.int32) * columns, maps[1], cum.ravel(), word.ravel()
+        return ((maps[0] * stride).astype(np.int32), maps[1].astype(np.int32), cum.ravel(),
+                word.ravel())
 
     def rows_of(self, corners: np.ndarray, side: str) -> np.ndarray:
         """Per corner and axis, the open (``side="left"``) or closed
@@ -350,78 +404,130 @@ class _CornerScorer:
         return np.column_stack([np.searchsorted(g[:-1], corners[:, j], side)
                                 for j, g in enumerate(self.grids)])
 
-    def count(self, rows: np.ndarray) -> np.ndarray:
-        """Per column of ``rows`` (one row per axis), the number of points
-        below the row on every axis."""
-        if self.planes:
-            return self._plane_count(rows)
-        count = 0
-        for chunk in self.chunks:
-            hit = None
-            for (table, rank_map), axis_rows in zip(chunk, rows):
-                axis_hit = table.take(rank_map.take(axis_rows), axis=0)
-                hit = axis_hit if hit is None else np.bitwise_and(hit, axis_hit, out=hit)
-            # Transposed, the sum runs along the block, not across a few words.
-            count = count + np.bitwise_count(hit).T.copy().sum(axis=0)
-        return count
+    def block_rows(self, k: int) -> np.ndarray:
+        """The workspace's open and closed rows of ``k`` corners, (2, d, k)."""
+        return self.rows[:2 * len(self.grids) * k].reshape(2, -1, k)
 
-    def _plane_count(self, rows: np.ndarray) -> np.ndarray:
+    def count(self, rows: np.ndarray) -> np.ndarray:
+        """Per open and closed row of ``rows`` (2, d, k), the number of
+        points below the row on every axis: a (2, k) view of the workspace."""
+        counts = _views(self.counts, rows.shape[2])[0]
+        if self.planes:
+            self._plane_count(rows, counts)
+        else:
+            self._bitset_count(rows, counts)
+        return counts
+
+    def _bitset_count(self, rows: np.ndarray, counts: np.ndarray) -> None:
+        """``count`` from the bitset tables (d >= 3)."""
+        k = rows.shape[2]
+        index = _views(self.floats.view(np.intp), k)[0]
+        for c, chunk in enumerate(self.chunks):
+            words = chunk[0][0].shape[1]
+            hit, axis_hit = (h[:2 * k * words].reshape(2 * k, words) for h in self.hits)
+            for j, (table, rank_map) in enumerate(chunk):
+                rank_map.take(rows[:, j], out=index, mode="wrap")
+                table.take(index.ravel(), axis=0, out=axis_hit if j else hit, mode="wrap")
+                if j:
+                    np.bitwise_and(hit, axis_hit, out=hit)
+            # Transposed, the sum runs along the block, not across a few words.
+            pop, across = (p[:2 * k * words] for p in self.pops)
+            np.bitwise_count(hit, out=pop.reshape(2 * k, words))
+            across = across.reshape(words, 2 * k)
+            np.copyto(across, pop.reshape(2 * k, words).T)
+            if c:
+                np.add.reduce(across, axis=0, out=index.ravel())
+                counts += index
+            else:
+                np.add.reduce(across, axis=0, out=counts.ravel())
+
+    def _plane_count(self, rows: np.ndarray, counts: np.ndarray) -> None:
         """``count`` from the plane counts (d <= 2)."""
-        count = np.zeros(rows.shape[1], dtype=np.int64)
-        for umap, vmap, cum, word in self.chunks:
-            t = vmap.take(rows[-1])
-            if cum is None:
-                count += t
-                continue
-            q = t >> 6
-            at = umap.take(rows[0]) + q  # the flat index of cum[i, q]
-            below = cum.take(at)
-            bits = word.take(q * 65 + (cum[1:].take(at) - below))
-            count += below
-            count += np.bitwise_count(bits & _LOW_BITS.take(t & 63))
-        return count
+        if len(self.grids) == 1:
+            self.chunks[0][1].take(rows[:, 0], out=counts, mode="wrap")
+            return
+        k = rows.shape[2]
+        t, q, at = _views(self.float_ints, k)
+        below, above = _views(self.halves, k)
+        _, mask, bits = _views(self.float_words, k)  # q's and at's, free by then
+        for c, (umap, vmap, cum, word) in enumerate(self.chunks):
+            vmap.take(rows[:, 1], out=t, mode="wrap")
+            np.right_shift(t, 6, out=q)
+            umap.take(rows[:, 0], out=at, mode="wrap")
+            at += q  # the flat index of cum[i, q]
+            cum.take(at, out=below, mode="wrap")
+            cum[1:].take(at, out=above, mode="wrap")
+            above -= below
+            q *= 65
+            q += above  # the flat index of word[q, above]
+            t &= 63
+            word.take(q, out=bits, mode="wrap")
+            _LOW_BITS.take(t, out=mask, mode="wrap")
+            bits &= mask
+            np.bitwise_count(bits, out=above)
+            if c:
+                counts += below
+                counts += above
+            else:
+                np.add(below, above, out=counts)
 
     def offer(self, corners: np.ndarray, open_rows: np.ndarray, closed_rows: np.ndarray,
               boxes: Sequence[AnchoredBox] | None = None) -> None:
         """Score up to ``self.block`` corners given their open and closed
         rows; ``boxes`` are their own boxes."""
         m = corners.shape[0]
-        count = self.count(np.concatenate((open_rows.T, closed_rows.T), axis=1))
-        vols = self.vols[:m]
+        rows = self.block_rows(m)
+        np.copyto(rows[0], open_rows.T)
+        np.copyto(rows[1], closed_rows.T)
+        count = self.count(rows)
+        vols, d_plus, d_minus = self.floats[:, :m]
         np.copyto(vols, corners[:, 0])
         for j in range(1, corners.shape[1]):
             vols *= corners[:, j]
-        cand = _corner_values(count[m:], count[:m], self.n, vols, self.d_plus[:m],
-                              self.d_minus[:m])
+        cand = _corner_values(count[1], count[0], self.n, vols, d_plus, d_minus)
         i = int(cand.argmax())
         if cand[i] > self.value:
             self.value = float(cand[i])
             self.box = boxes[i] if boxes is not None else AnchoredBox(corners[i])
 
 
+@functools.cache
+def _child_rows(d: int) -> np.ndarray:
+    """Per end, axis and child c of a box, the row of (lo, he, mid) stacked
+    over the axes that holds the child's end: c takes the upper half
+    [mid, he) on the axes of its set bits, and the lower half [lo, mid) on
+    the others."""
+    upper = np.arange(1 << d) >> np.arange(d)[:, None] & 1
+    rows = (d * np.array((2 * upper, 2 - upper)) + np.arange(d)[:, None]).ravel()
+    rows.flags.writeable = False
+    return rows
+
+
 class _BoxSearch:
     """The exact kernel: a branch and bound over boxes of grid indices (see
     the module).
 
-    A chunk of boxes is an int array (axis, end, box): end 0 is lo and end
-    1 is hi.  A box's open row is its lo and its closed row min(hi + 1,
-    distinct values), as for the estimate's corners.  ``boxes_bounded``
-    counts the boxes bounded and ``corners_scored`` those that are single
-    corners, whose bound is their value; neither counts the points' own
-    corners.
+    A chunk of boxes is an int32 array (end, axis, box): end 0 is lo and
+    end 1 is he = hi + 1, so a box is [lo, he) on each axis and its open
+    and closed rows are its two ends.  ``boxes_bounded`` counts the boxes
+    bounded and ``corners_scored`` those that are single corners, whose
+    bound is their value; neither counts the points' own corners.
     """
 
-    def __init__(self, coords: np.ndarray, grids: list[np.ndarray]):
-        self.scorer = _CornerScorer(coords, grids)
-        self.grids = grids
-        self.n = coords.shape[0]
+    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray):
+        #: Per axis, the grid shifted by one, so that vol(hi) reads it at he.
+        self.shifted = [np.concatenate((g[:1], g)) for g in grids]
+        self.grids = [s[1:] for s in self.shifted]
+        self.scorer = _CornerScorer(self.grids, ranks)
+        self.n = ranks.shape[0]
         d = len(grids)
-        #: Per axis, end and child c of a box, the row of (lo, mid, mid + 1,
-        #: hi) stacked over the axes that holds the child's end: c takes the
-        #: upper half [mid + 1, hi] on the axes of its set bits.
-        upper = np.arange(1 << d) >> np.arange(d)[:, None, None] & 1
-        self.child_ends = (d * (np.arange(2)[:, None] + 2 * upper)
-                           + np.arange(d)[:, None, None]).ravel()
+        #: Boxes split per chunk; their children fill a block.
+        self.per = max(1, self.scorer.block >> d)
+        self.child_rows = _child_rows(d)
+        children = self.per << d
+        self.ends = self.scorer.floats.reshape(-1).view(np.int32)
+        self.axis_masks = np.empty(d * children, dtype=bool)
+        self.masks = np.empty((3, children), dtype=bool)
         self.value = -np.inf
         self.floor = -np.inf
         self.corner: list[int] = []
@@ -438,12 +544,15 @@ class _BoxSearch:
         scorer = self.scorer
         for s in range(0, self.n, scorer.block):
             corners = scorer.ranks[s:s + scorer.block].T
-            k = corners.shape[1]
-            count = scorer.count(np.hstack((corners, corners + 1)))
-            self._score(corners, count[k:], count[:k], self._volumes(corners))
-        whole = np.stack((np.zeros_like(scorer.top), scorer.top), axis=1)
-        stack = [(whole[:, :, None], np.array([np.inf]))]
-        per = max(1, scorer.block >> len(self.grids))
+            rows = scorer.block_rows(corners.shape[1])
+            np.copyto(rows[0], corners)
+            np.add(corners, 1, out=rows[1])
+            count = scorer.count(rows)
+            self._score(corners, count[1], count[0], self._volumes(rows)[0])
+        whole = np.zeros((2, len(self.grids), 1), dtype=np.int32)
+        whole[1, :, 0] = scorer.top + 1
+        stack = [(whole, np.array([np.inf]))]
+        per = self.per
         while stack:
             boxes, bound = stack[-1]
             if bound.size > per:
@@ -451,64 +560,100 @@ class _BoxSearch:
                 boxes, bound = boxes[..., -per:], bound[-per:]
             else:
                 stack.pop()
-            keep = np.flatnonzero(bound >= self.floor)  # the floor may have risen since
+            reach = self.masks[2, :bound.size]
+            np.greater_equal(bound, self.floor, out=reach)  # the floor may have risen since
+            keep = reach.nonzero()[0]
             if keep.size:
-                children = self._bound(self._split(boxes.take(keep, axis=2)))
-                if children[1].size:
+                children = self._bound(self._split(boxes, keep))
+                if children is not None:
                     stack.append(children)
 
-    def _split(self, boxes: np.ndarray) -> np.ndarray:
-        """The children of the boxes: [lo, mid] or [mid + 1, hi] on each
-        axis, where an upper half is empty if lo == hi and drops out."""
-        d = len(self.grids)
-        lo, hi = boxes[:, 0], boxes[:, 1]
-        mid = (lo + hi) >> 1
-        children = np.concatenate((lo, mid, mid + 1, hi)).take(self.child_ends, axis=0)
-        children = children.reshape(d, 2, -1)
-        return children.take(np.flatnonzero((children[:, 0] <= children[:, 1]).all(axis=0)),
-                             axis=2)
+    def _split(self, boxes: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The children of the boxes at ``keep``: [lo, mid) or [mid, he) on
+        each axis, mid = (lo + he + 1) >> 1, where an upper half is empty
+        if he = lo + 1 and drops out; as the workspace's rows."""
+        d, m = len(self.grids), keep.size
+        ends = self.ends[:3 * d * m].reshape(3, d, m)
+        boxes.take(keep, axis=2, out=ends[:2], mode="wrap")
+        mid = ends[2]
+        np.add(ends[0], ends[1], out=mid)
+        mid += 1
+        mid >>= 1
+        children = self.scorer.spare[:2 * d * m << d].reshape(-1, m)
+        ends.reshape(3 * d, m).take(self.child_rows, axis=0, out=children, mode="wrap")
+        children = children.reshape(2, d, m << d)
+        nonempty = self.axis_masks[:d * m << d].reshape(d, -1)
+        np.less(children[0], children[1], out=nonempty)
+        valid = self.masks[0, :m << d]
+        np.logical_and.reduce(nonempty, axis=0, out=valid)
+        i = valid.nonzero()[0]
+        rows = self.scorer.block_rows(i.size)
+        children.take(i, axis=2, out=rows, mode="wrap")
+        return rows
 
-    def _volumes(self, corners: np.ndarray) -> np.ndarray:
-        """Per column of ``corners`` (grid indices), its volume."""
-        vols = self.grids[0][corners[0]]
-        for g, k in zip(self.grids[1:], corners[1:]):
-            vols *= g[k]
+    def _volumes(self, rows: np.ndarray) -> np.ndarray:
+        """vol(lo) and vol(hi) of the boxes of ``rows`` (2, d, k), as a
+        (2, k) view of the workspace's first float array."""
+        vols, part = _views(self.scorer.floats[:2], rows.shape[2])
+        for j, (grid, shifted) in enumerate(zip(self.grids, self.shifted)):
+            out = part if j else vols
+            grid.take(rows[0, j], out=out[0], mode="wrap")
+            shifted.take(rows[1, j], out=out[1], mode="wrap")
+            if j:
+                vols *= part
         return vols
 
-    def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Bounds the boxes and raises the floor; scores the single corners
         that reach it and returns the other boxes that do, best bound last."""
-        d, _, k = boxes.shape
-        rows = np.minimum(boxes + [[0], [1]], self.scorer.top[:, None, None])
-        count = self.scorer.count(rows.reshape(d, -1))
-        vols = self._volumes(boxes.reshape(d, -1))
-        share = count / self.n
-        opened, closed, vol_lo, vol_hi = share[:k], share[k:], vols[:k], vols[k:]
+        d, k = boxes.shape[1:]
+        count = self.scorer.count(boxes)
+        vols = self._volumes(boxes)
+        share, gap = _views(self.scorer.floats[1:], k)
+        np.divide(count, self.n, out=share)
+        opened, closed, vol_lo, vol_hi = share[0], share[1], vols[0], vols[1]
         # Attained: the closed side at hi and the open side at lo.
-        self.floor = max(self.floor, float(np.maximum(closed - vol_hi, vol_lo - opened).max()))
-        bound = np.maximum(closed - vol_lo, vol_hi - opened)
-        leaf = (boxes[:, 0] == boxes[:, 1]).all(axis=0)
+        np.subtract(closed, vol_hi, out=gap[0])
+        np.subtract(vol_lo, opened, out=gap[1])
+        self.floor = max(self.floor, float(np.maximum.reduce(gap, axis=None)))
+        bound = gap[0]
+        np.subtract(closed, vol_lo, out=bound)
+        np.subtract(vol_hi, opened, out=gap[1])
+        np.maximum(bound, gap[1], out=bound)
+        extent = self.scorer.spare[:d * k].reshape(d, k)
+        np.subtract(boxes[1], boxes[0], out=extent)
+        unit = self.axis_masks[:d * k].reshape(d, k)
+        np.equal(extent, 1, out=unit)
+        leaf = self.masks[1, :k]
+        np.logical_and.reduce(unit, axis=0, out=leaf)
         self.boxes_bounded += k
-        self.corners_scored += int(leaf.sum())
-        reach = bound >= self.floor
-        i = np.flatnonzero(reach & leaf)
+        self.corners_scored += int(np.count_nonzero(leaf))
+        reach = self.masks[2, :k]
+        np.greater_equal(bound, self.floor, out=reach)
+        i = reach.nonzero()[0]
+        if not i.size:
+            return None
+        single = leaf.take(i)
+        inner = i[~single]
+        inner = inner[np.argsort(bound.take(inner), kind="stable")]
+        children = boxes.take(inner, axis=2), bound.take(inner)
+        i = i[single]
         if i.size:
-            self._score(boxes[:, 0].take(i, axis=1), count[k + i], count[i], vol_lo[i])
-        i = np.flatnonzero(reach & ~leaf)
-        i = i[np.argsort(bound[i], kind="stable")]
-        return boxes.take(i, axis=2), bound[i]
+            self._score(boxes[0].take(i, axis=1), count[1].take(i), count[0].take(i),
+                        vols[0].take(i))
+        return children if inner.size else None
 
     def _score(self, corners: np.ndarray, closed: np.ndarray, opened: np.ndarray,
                vols: np.ndarray) -> None:
         """Values the corners (grid indices per column) from their counts
         and volumes; keeps the lexicographically smallest of the largest."""
-        d_plus, d_minus = np.empty((2, len(vols)))
+        d_plus, d_minus = _views(self.scorer.floats[2:], len(vols))[0]
         cand = _corner_values(closed, opened, self.n, vols, d_plus, d_minus)
         top = float(cand.max())
         self.floor = max(self.floor, top)
         if top < self.value:
             return
-        ties = np.flatnonzero(cand == top)
+        ties = (cand == top).nonzero()[0]
         i = ties[np.lexsort(corners[::-1, ties])[0]]
         corner = corners[:, i].tolist()
         if top > self.value or corner < self.corner:
@@ -537,10 +682,12 @@ def star_discrepancy_lower_estimate(
     ``_CornerScorer``), built once per call: for d >= 3 per-axis
     cumulative bitsets of about d * N * min(N, 4096) / 8 bytes, for d <= 2
     plane counts of about 130 bytes per point, rank maps of at most
-    3 * d * (N + 1) bytes per chunk of 4096 points, and working arrays of a
-    few words per point and axis.  The candidates are scored in blocks
-    whose open and closed rows of one chunk fill 64 KiB (at least one
-    corner), and the random corners are drawn one block at a time
+    8 * d * (N + 2) bytes per chunk of 4096 points, and the points' grid
+    indices.  The candidates are scored in blocks of the scorer's B
+    corners, in its workspace of about 16 d + 64 bytes per corner: for
+    d >= 3 the block's open and closed rows of one chunk fill 64 KiB (at
+    least one corner), for d <= 2 a block is 2048 corners (see the
+    module).  The random corners are drawn one block at a time
     (``Stream.randbelow_rows``), so memory does not grow with the budget.
     """
     if budget < 1:
@@ -549,8 +696,8 @@ def star_discrepancy_lower_estimate(
     for box in extra:
         _require_same_dim(ps, box)
     coords = ps.coords
-    grids = _grids(coords)
-    scorer = _CornerScorer(coords, grids)
+    grids, ranks = _grids(coords)
+    scorer = _CornerScorer(grids, ranks)
     step = scorer.block
     for i in range(0, len(extra), step):
         boxes = extra[i:i + step]
@@ -566,7 +713,7 @@ def star_discrepancy_lower_estimate(
     for done in range(0, budget, step):
         picks = stream.randbelow_rows(sizes, min(step, budget - done))
         scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]),
-                     picks, np.minimum(picks + 1, scorer.top))
+                     picks, picks + 1)
 
     assert scorer.box is not None
     return scorer.value, scorer.box

@@ -243,8 +243,8 @@ class TestAgainstReplacedKernels:
             for n in (1, 4, 9, 24):
                 check_against_replaced_kernels(lattice_pointset(stream, n, d, m))
 
-    def test_2d_table_of_many_row_blocks(self):
-        # 3201 x 3201 corners: several hundred blocks of rows.
+    def test_2d_search_over_many_chunks(self):
+        # 3201 x 3201 corners: the frontier fills about 40 chunks of boxes.
         ps = lhs_sample(3200, 2, seed=derive(78, "blocks-2d"))
         assert_bit_equal(star_discrepancy_exact_2d(ps), reference_star_discrepancy_exact_2d(ps))
         assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact_2d(ps))
@@ -264,15 +264,16 @@ class TestAgainstReplacedKernels:
         assert_bit_equal(star_discrepancy_exact(ps), ref)
 
     @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
-    def test_3d_tables_of_several_row_blocks(self, sampler):
-        # 141 x 141 corners per table: two blocks of rows.
+    def test_3d_search_over_several_chunks(self, sampler):
+        # 141**3 corners in chunks of 170 boxes: the LHS's frontier fills 39.
         ps = sampler(140, 3, derive(79, "blocks-3d"))
         assert_bit_equal(star_discrepancy_exact(ps), reference_star_discrepancy_exact(ps))
 
     @pytest.mark.parametrize("n,d", [(2000, 2), (300, 3)])
-    def test_lattice_tables_of_several_row_blocks(self, n, d):
-        # 151 x 151 corners per table, two blocks of rows, and ties on the
-        # last axis across the blocks.
+    def test_lattice_search_over_several_chunks(self, n, d):
+        # 151 grid values per axis, with ties on every axis: the frontier
+        # takes more chunks than the grid has levels, and tied corners fall
+        # in different chunks.
         ps = lattice_pointset(Stream(derive(81, f"blocks-lattice-{d}")), n, d, 150)
         check_against_replaced_kernels(ps)
 
@@ -351,7 +352,7 @@ def tie_across_blocks():
 
 
 def run_search(ps, search=discrepancy._BoxSearch):
-    kernel = search(ps.coords, discrepancy._grids(ps.coords))
+    kernel = search(*discrepancy._grids(ps.coords))
     kernel.run()
     return kernel
 
@@ -369,7 +370,8 @@ def assert_search_counters(ps):
 
 
 class TestBoundAndSkip:
-    """The skip pass changes no result, and it skips most of a paper table."""
+    """Pruning boxes by their bounds changes no result, and it prunes most
+    of a paper grid."""
 
     def test_block_whose_bound_equals_the_floor_is_scored(self):
         # Row u = 0 is a block whose bound is its own closed maximum a/N;
@@ -401,7 +403,7 @@ class TestBoundAndSkip:
             for seed in range(2):
                 check_against_replaced_kernels(sampler(n, d, derive(derive(86, f"{d}-{n}"), seed)))
 
-    def test_paper_tables_score_under_a_tenth_of_their_blocks(self):
+    def test_paper_searches_bound_under_a_tenth_of_their_corners(self):
         for seed in range(3):
             ps = lhs_sample(3200, 2, seed=derive(87, seed))
             assert assert_search_counters(ps).boxes_bounded < 3201**2 / 10
@@ -412,6 +414,12 @@ class TestBoundAndSkip:
         ps = lhs_sample(128, 3, seed=derive(88, "counters"))
         assert assert_search_counters(ps).boxes_bounded < 129**3 / 10
         assert_search_counters(uniform_sample(12, 4, derive(88, "counters-4d")))
+
+    def test_counters_of_a_seeded_3d_search(self):
+        # The counts of the search over closed boxes [lo, hi] that the
+        # half-open ones replaced: the same tree, box for box.
+        search = run_search(lhs_sample(128, 3, seed=derive(88, "counters")))
+        assert (search.boxes_bounded, search.corners_scored) == (15304, 128)
 
 
 class _RecordingSearch(discrepancy._BoxSearch):
@@ -449,7 +457,7 @@ def korobov(n, g):
     return PointSet(np.column_stack([i * pow(g, j, n) % n / n for j in range(3)]))
 
 
-class TestSteppedTables:
+class TestBoxSearchAboveTwoDimensions:
     """d >= 3: the search over boxes of grid indices, bit-equal (value, box
     bytes, side) to the replaced kernel and to a corner-by-corner
     evaluation."""
@@ -534,6 +542,85 @@ class TestSteppedTables:
         assert_search_memory_bounded(PointSet(coords))
 
 
+class _ChunkRecordingSearch(discrepancy._BoxSearch):
+    """The search, recording how many boxes each chunk splits."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.splits = []
+
+    def _split(self, boxes, keep):
+        self.splits.append(keep.size)
+        return super()._split(boxes, keep)
+
+
+class TestHalfOpenBoxes:
+    """Boxes [lo, he) whose closed row he reaches the rank maps' extra row
+    top + 1, and chunks of every size in one workspace: bit-equal (value,
+    box bytes, side) to the replaced kernels."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_point(self, d):
+        # The whole grid is [0, 2) on every axis, split into the point's
+        # corner [0, 1) and the corner [1, 2) of 1.0.
+        stream = Stream(derive(102, f"one-{d}"))
+        for corner in (np.zeros(d), np.full(d, 0.5), stream.uniform_block(d),
+                       np.full(d, np.nextafter(1.0, 0.0))):
+            check_against_replaced_kernels(PointSet(corner.reshape(1, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_points_on_the_largest_coordinate(self, d):
+        # All or most points take the largest coordinate of one axis, so
+        # the last row below 1.0 holds them and boxes end at top + 1 there.
+        for n in (2, 9, 40):
+            for j in range(d):
+                coords = lhs_sample(n, d, derive(103, f"largest-{n}-{d}-{j}")).coords
+                for share in (n, n // 2 + 1):
+                    tied = coords.copy()
+                    tied[:share, j] = coords[:, j].max()
+                    check_against_replaced_kernels(PointSet(tied))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_largest_coordinates_meet_off_the_points(self, d):
+        # Point i of n is ((i + j) mod n) / 2n on axis j, so the largest
+        # coordinates of the axes belong to different points.  The maximum
+        # is the closed side of the corner they meet at, which holds every
+        # point; no point's own corner finds it, and the boxes that lead to
+        # it end at top + 1 on every axis.
+        for n in (9, 40, 128):
+            i = np.arange(n)
+            ps = PointSet(np.column_stack([(i + j) % n for j in range(d)]) / (2 * n))
+            cert = star_discrepancy_exact(ps)
+            assert cert.argmax_box.upper.tolist() == [(n - 1) / (2 * n)] * d
+            assert cert.closed_sided
+            check_against_replaced_kernels(ps)
+
+    @pytest.mark.parametrize("ps", [uniform_sample(10000, 2, derive(104, "wide-2d")),
+                                    korobov(128, 25)], ids=["uniform-10000x2", "korobov-128x3"])
+    def test_frontiers_over_several_chunks(self, ps):
+        # The frontier takes more than twice as many chunks as the grid has
+        # levels, full ones and partial ones.
+        search = run_search(ps, _ChunkRecordingSearch)
+        levels = max(int(np.ceil(np.log2(len(g)))) for g in search.grids)
+        assert len(search.splits) > 2 * levels
+        assert search.per in search.splits
+        assert min(search.splits) < search.per
+        reference = (reference_star_discrepancy_exact_2d if ps.dim == 2
+                     else reference_star_discrepancy_exact)
+        assert_bit_equal(star_discrepancy_exact(ps), reference(ps))
+
+    def test_unpruned_tree_at_one_dimension(self):
+        # An LHS ties near 1/N at every corner of d = 1, so the whole tree
+        # of 2N boxes is bounded, one level a chunk, the widest of them
+        # splitting into about half a block of children.
+        n = 1000
+        ps = lhs_sample(n, 1, derive(104, "wide-1d"))
+        search = run_search(ps, _ChunkRecordingSearch)
+        assert search.boxes_bounded == 2 * n
+        assert len(search.splits) == 10
+        check_against_replaced_kernels(ps)
+
+
 def assert_search_memory_bounded(ps):
     # The module's bound: a frontier of at most L * C boxes of 16 d + 8
     # bytes, and for d >= 3 bitset tables and rank maps and one chunk's
@@ -542,7 +629,7 @@ def assert_search_memory_bounded(ps):
     # chunk of points, and about 100 d + 100 bytes per child.  Nothing of
     # it may outlive the call.
     n, d = ps.coords.shape
-    search = discrepancy._BoxSearch(ps.coords, discrepancy._grids(ps.coords))
+    search = discrepancy._BoxSearch(*discrepancy._grids(ps.coords))
     chunk = max(search.scorer.block, 2**d)
     levels = max(int(np.ceil(np.log2(len(g)))) for g in search.grids)
     frontier = levels * chunk * (16 * d + 8)
@@ -611,12 +698,10 @@ def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
     return value, found
 
 
-def block_rows(n, d):
-    # Corners whose open and closed rows of the first chunk of points fill
-    # the block buffer: bitset rows of one bit per point, 64 per word, for
-    # d >= 3, and the words a plane count reads for d <= 2.
-    words = -(-min(n, discrepancy._CHUNK_POINTS) // 64) if d >= 3 else discrepancy._PLANE_WORDS
-    return max(1, discrepancy._ESTIMATE_WORDS // (2 * words))
+def block_rows(ps):
+    # The corners the estimate scores at a time: the block of the scorer
+    # built for ps.
+    return discrepancy._CornerScorer(*discrepancy._grids(ps.coords)).block
 
 
 class TestLowerEstimateAgainstScalarEstimator:
@@ -634,7 +719,7 @@ class TestLowerEstimateAgainstScalarEstimator:
     @pytest.mark.parametrize("n,d", [(40, 1), (40, 3), (128, 2), (128, 4), (3200, 2)])
     def test_budgets_around_the_block_size(self, n, d):
         ps = lhs_sample(n, d, derive(90, f"block-{n}-{d}"))
-        rows = block_rows(n, d)
+        rows = block_rows(ps)
         for budget in (rows - 1, rows, rows + 1):
             assert_estimate_bit_equal(ps, budget, seed=budget)
 
@@ -659,7 +744,7 @@ class TestLowerEstimateAgainstScalarEstimator:
     def test_extra_boxes_over_several_blocks(self):
         ps = uniform_sample(3200, 2, derive(93, "many-extra"))
         stream = Stream(derive(93, "extra-boxes"))
-        extra = [AnchoredBox(stream.uniform_block(2)) for _ in range(3 * block_rows(3200, 2) + 5)]
+        extra = [AnchoredBox(stream.uniform_block(2)) for _ in range(3 * block_rows(ps) + 5)]
         assert_estimate_bit_equal(ps, 50, 1, extra)
         assert_estimate_bit_equal(ps, 50, 1, extra + [AnchoredBox(np.zeros(2))])
 
@@ -764,10 +849,13 @@ class TestLowerEstimateAgainstScalarEstimator:
         assert current < 1 << 16
 
     def test_memory_is_linear_in_the_points(self):
-        # The docstring's bound at N = 20000, d = 2: tables of about
-        # d * N * min(N, 4096) / 8 bytes, a rank map of 2 * d * (N + 1)
-        # bytes per chunk, and working arrays of a few words per point and
-        # axis.  Unchunked tables would take N**2 / 8 = 50 MB per axis.
+        # The docstring's bound at N = 20000, d = 2: per chunk of s points
+        # the planes, cum and word (about 130 bytes per point), and two
+        # int32 rank maps of N + 2 rows; the grids and the grid indices,
+        # about 12 d N bytes; the workspace, about 17 d + 67 bytes per
+        # corner of a block; and the set-up's sorts, a few words per point.
+        # Bitset tables would take d * N * 4096 / 8 = 20 MB, and unchunked
+        # ones N**2 / 8 = 50 MB per axis.
         n, d = 20000, 2
         ps = uniform_sample(n, d, derive(95, "linear-memory"))
         star_discrepancy_lower_estimate(pset([0.5]), 1)  # first-call imports
@@ -777,9 +865,12 @@ class TestLowerEstimateAgainstScalarEstimator:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        chunks = -(-n // discrepancy._CHUNK_POINTS)
-        tables = d * n * discrepancy._CHUNK_POINTS // 8
-        assert peak < tables + 2 * d * (n + 1) * chunks + 64 * d * n
+        sizes = [min(n - s, discrepancy._CHUNK_POINTS)
+                 for s in range(0, n, discrepancy._CHUNK_POINTS)]
+        planes = sum((s + 1) * ((s // 64 + 5) & -4) * 2 + (s // 64 + 1) * 65 * 8 + 8 * (n + 2)
+                     for s in sizes)
+        workspace = (17 * d + 67) * block_rows(ps)
+        assert peak < planes + 12 * d * n + workspace + 32 * n
         assert current < 1 << 16
 
     def test_extra_box_dimension_checked(self):
