@@ -271,9 +271,8 @@ class TestAgainstReplacedKernels:
 
     @pytest.mark.parametrize("n,d", [(2000, 2), (300, 3)])
     def test_lattice_search_over_several_chunks(self, n, d):
-        # 151 grid values per axis, with ties on every axis: the frontier
-        # takes more chunks than the grid has levels, and tied corners fall
-        # in different chunks.
+        # 151 grid values per axis, with ties on every axis, and a frontier
+        # of more chunks than the grid has levels.
         ps = lattice_pointset(Stream(derive(81, f"blocks-lattice-{d}")), n, d, 150)
         check_against_replaced_kernels(ps)
 
