@@ -852,7 +852,8 @@ class TestLowerEstimateAgainstScalarEstimator:
         # the planes, cum and word (about 130 bytes per point), and two
         # int32 rank maps of N + 2 rows; the grids and the grid indices,
         # about 12 d N bytes; the workspace, about 17 d + 67 bytes per
-        # corner of a block; and the set-up's sorts, a few words per point.
+        # corner of a block; and the set-up's temporaries (sorts and the
+        # rank maps' sums), a few words per point.
         # Bitset tables would take d * N * 4096 / 8 = 20 MB, and unchunked
         # ones N**2 / 8 = 50 MB per axis.
         n, d = 20000, 2
