@@ -48,24 +48,28 @@ chunk's cost is mostly its fixed numpy calls, about 45, and B is sized by
 memory instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
 1024 at d = 1, is the largest power of two whose workspace keeps the
 paper's call (d = 2, N = 3200) under 1 MiB; there 1024 ran about 1.3 times
-slower and 4096 took the call to 1.14 MiB (2-vCPU host).  The kept
+slower and 4096 took the call to 1.3 MiB (2-vCPU host).  The kept
 children of a chunk are pushed sorted by bound, best last, and lie one
 level below their parents, so the stack holds one chunk's children at most
 per level: with C = max(B, 2^d) and L = ceil(log2) of the longest grid, at
 most L * C boxes of 8 d + 8 bytes (2 d int32 grid indices and a bound).
 
-A chunk works in one workspace allocated per call: the scorer's rows and
-counts of B corners and its scratch arrays, written with ``out=`` (see
-``_CornerScorer``), and the search's masks, about 17 d + 67 bytes per child
-in all (200 KiB at d = 2), plus two 64 KiB arrays of bitset rows and 16 KiB
-of popcounts for d >= 3.  The grids, shifted by one, and the points' grid
-indices take about 12 d N bytes.  For d >= 3 the bitset tables take about
-d * N * min(N, 4096) / 8 bytes and their rank maps 8 d (N + 2) bytes per
-4096 points.  For d = 2 a chunk of s <= 4096 points keeps cum, (s + 1) x
-(s // 64 + 2) uint16 with the columns padded to a multiple of 4, and word,
-(s // 64 + 1) x 65 uint64, about 130 bytes per point, and two rank maps of
-4 (N + 2) bytes each; for d = 1 the count is one rank map of 8 (N + 2)
-bytes.
+A chunk works in one workspace allocated per call for C children, so
+that it holds a block of the points' own corners or the children of one
+box: the scorer's rows to count, their counts and the count's scratch
+(see ``_CornerScorer``), and the search's copies of the chunk's boxes,
+all their children, their volumes, gaps and masks (see ``_BoxSearch``).
+Every per-chunk operation writes into views of it with ``out=``.  It
+takes 17 d + 43 bytes per child plus the count's scratch: 56 bytes per
+child at d = 2 (266 KiB in all), and for d >= 3 16 bytes per child and
+one chunk of points' AND rows and popcounts (144 KiB when C = B).  The
+grids, shifted by one, and the points' grid indices take about 12 d N
+bytes.  For d >= 3 the bitset tables take about d * N * min(N, 4096) / 8
+bytes and their rank maps 8 d (N + 2) bytes per 4096 points.  For d = 2
+a chunk of s <= 4096 points keeps cum, (s + 1) x (s // 64 + 2) uint16
+with the columns padded to a multiple of 4, and word, (s // 64 + 1) x 65
+uint64, about 130 bytes per point, and two rank maps of 4 (N + 2) bytes
+each; for d = 1 the count is one rank map of 8 (N + 2) bytes.
 """
 
 from __future__ import annotations
@@ -172,16 +176,13 @@ def excess(ps: PointSet, box: AnchoredBox) -> float:
     return count_open(ps, box) - ps.n_points * box_volume(box)
 
 
-def _corner_values(closed: np.ndarray, opened: np.ndarray, n: int, vols: np.ndarray,
-                   d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
-    """Corner values: closed/N - vol into ``d_plus``, vol - open/N into
-    ``d_minus`` (either may be its count array), their maximum into and
-    returned as ``vols``."""
-    np.divide(closed, n, out=d_plus)
-    np.subtract(d_plus, vols, out=d_plus)
-    np.divide(opened, n, out=d_minus)
-    np.subtract(vols, d_minus, out=d_minus)
-    return np.maximum(d_plus, d_minus, out=vols)
+def _corner_values(closed: np.ndarray, opened: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    """Corner values from the closed and open shares (count / N) and the
+    volumes: closed - vol into ``closed``, vol - open into ``opened``, and
+    their maximum into and returned as ``vols``."""
+    np.subtract(closed, vols, out=closed)
+    np.subtract(vols, opened, out=opened)
+    return np.maximum(closed, opened, out=vols)
 
 
 def _grids(coords: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -254,9 +255,9 @@ _PLANE_BLOCK = 1 << 11
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
-def _views(buffers: np.ndarray, k: int) -> np.ndarray:
-    """The first 2 k elements of each row of ``buffers``, as (2, k) arrays."""
-    return buffers[:, :2 * k].reshape(len(buffers), 2, k)
+def _pairs(k: int, *buffers: np.ndarray) -> list[np.ndarray]:
+    """The first 2 k elements of each buffer, as (2, k) arrays."""
+    return [b[:2 * k].reshape(2, k) for b in buffers]
 
 
 class _CornerScorer:
@@ -299,18 +300,19 @@ class _CornerScorer:
     point and a row reads ``_PLANE_WORDS`` words per chunk.  At d = 1 the
     count is vmap[b], with one chunk of all the points.
 
-    The workspace is allocated once, for a block of B corners: ``rows``,
-    their open and closed rows (int32, 2 x d x B), ``counts``, their
-    counts (float64, 2 x B, which they are divided in), and two arrays that
-    ``count`` uses as scratch and its caller may use between counts:
-    ``floats``, three float64 arrays of 2 B (holding a count's int32 and
-    uint64 arrays), and ``spare``, int32 like ``rows`` (holding the plane
-    counts' uint16 arrays).  Bitset counts add two 64 KiB arrays of AND
-    rows and 16 KiB of popcounts.  Every index is in range, so the takes
-    name a mode only to write to ``out`` without numpy's buffer.
+    The workspace is allocated once, for ``size`` corners (at least a
+    block): ``rows``, the open and closed rows to count (int32, 2 x d x
+    size), ``counts``, their counts (float64, 2 x size), and the count's
+    own scratch.  Plane counts at d = 2 use two int32, two uint16 and two
+    uint64 arrays of 2 x size; bitset counts one intp array of 2 x size and
+    a chunk's AND rows and popcounts, two uint64 and two uint8 arrays of
+    2 x size x (words per table row), 2 x 64 KiB and 2 x 8 KiB for a
+    block.  The rows counted lie in [0, top + 1] and every rank map has
+    top + 2 rows (asserted as it is built), so every take is in range and
+    names a mode only to write to ``out`` without numpy's buffer.
     """
 
-    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray):
+    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray, size: int = 1):
         self.n, d = ranks.shape
         self.grids = grids
         #: Per point and axis, the grid index of its coordinate.
@@ -330,18 +332,20 @@ class _CornerScorer:
         #: Corners per block (see the module).
         self.block = (_PLANE_BLOCK if self.planes else
                       max(1, _ESTIMATE_WORDS // (2 * self.chunks[0][0][0].shape[1])))
-        rows = 2 * self.block
-        # The workspace (see the class), and typed views of its scratch.
-        self.rows = np.empty(rows * d, dtype=np.int32)
-        self.counts = np.empty((1, rows))
-        self.floats = np.empty((3, rows))
-        self.spare = np.empty(rows * d, dtype=np.int32)
-        self.float_ints = self.floats.view(np.int32)[:, :rows]
-        self.float_words = self.floats.view(np.uint64)
-        self.halves = self.spare.view(np.uint16).reshape(2, -1)
-        if not self.planes:
-            self.hits = np.empty((2, _ESTIMATE_WORDS), dtype=np.uint64)
-            self.pops = np.empty((2, _ESTIMATE_WORDS), dtype=np.uint8)
+        #: Corners the workspace holds.
+        self.size = max(self.block, size)
+        pair = 2 * self.size
+        self.rows = np.empty(d * pair, dtype=np.int32)
+        self.counts = np.empty(pair)
+        if d == 2:
+            self.ints = np.empty((2, pair), dtype=np.int32)
+            self.halves = np.empty((2, pair), dtype=np.uint16)
+            self.words = np.empty((2, pair), dtype=np.uint64)
+        elif d > 2:
+            self.index = np.empty(pair, dtype=np.intp)
+            words = pair * self.chunks[0][0][0].shape[1]
+            self.hits = np.empty((2, words), dtype=np.uint64)
+            self.pops = np.empty((2, words), dtype=np.uint8)
         self.value = -np.inf
         self.box: AnchoredBox | None = None
 
@@ -349,8 +353,10 @@ class _CornerScorer:
         """Per axis, the number of ``ranks``' points below each row, and the
         extra row."""
         size = np.array([ranks.shape[0]])
-        return [np.concatenate(([0], np.bincount(rank, minlength=top).cumsum(), size))
+        maps = [np.concatenate(([0], np.bincount(rank, minlength=top).cumsum(), size))
                 for rank, top in zip(ranks.T, self.top)]
+        assert [len(m) for m in maps] == (self.top + 2).tolist()
+        return maps
 
     def _chunk(self, ranks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per axis, the cumulative table of ``ranks``' points and its rank map."""
@@ -408,20 +414,21 @@ class _CornerScorer:
         """The workspace's open and closed rows of ``k`` corners, (2, d, k)."""
         return self.rows[:2 * len(self.grids) * k].reshape(2, -1, k)
 
-    def count(self, rows: np.ndarray) -> np.ndarray:
-        """Per open and closed row of ``rows`` (2, d, k), the number of
-        points below the row on every axis: a (2, k) view of the workspace."""
-        counts = _views(self.counts, rows.shape[2])[0]
+    def shares(self, rows: np.ndarray) -> np.ndarray:
+        """Per open and closed row of ``rows`` (2, d, k), the share of the
+        points below the row on every axis, count / N: a (2, k) view of the
+        workspace."""
+        counts, = _pairs(rows.shape[2], self.counts)
         if self.planes:
             self._plane_count(rows, counts)
         else:
             self._bitset_count(rows, counts)
-        return counts
+        return np.divide(counts, self.n, out=counts)
 
     def _bitset_count(self, rows: np.ndarray, counts: np.ndarray) -> None:
-        """``count`` from the bitset tables (d >= 3)."""
+        """The counts from the bitset tables (d >= 3)."""
         k = rows.shape[2]
-        index = _views(self.floats.view(np.intp), k)[0]
+        index, = _pairs(k, self.index)
         for c, chunk in enumerate(self.chunks):
             words = chunk[0][0].shape[1]
             hit, axis_hit = (h[:2 * k * words].reshape(2 * k, words) for h in self.hits)
@@ -442,17 +449,20 @@ class _CornerScorer:
                 np.add.reduce(across, axis=0, out=counts.ravel())
 
     def _plane_count(self, rows: np.ndarray, counts: np.ndarray) -> None:
-        """``count`` from the plane counts (d <= 2)."""
+        """The counts from the plane counts (d <= 2)."""
         if len(self.grids) == 1:
             self.chunks[0][1].take(rows[:, 0], out=counts, mode="wrap")
             return
         k = rows.shape[2]
-        t, q, at = _views(self.float_ints, k)
-        below, above = _views(self.halves, k)
-        _, mask, bits = _views(self.float_words, k)  # q's and at's, free by then
+        t, q = _pairs(k, *self.ints)
+        below, above = _pairs(k, *self.halves)
+        mask, bits = _pairs(k, *self.words)
         for c, (umap, vmap, cum, word) in enumerate(self.chunks):
             vmap.take(rows[:, 1], out=t, mode="wrap")
             np.right_shift(t, 6, out=q)
+            t &= 63
+            _LOW_BITS.take(t, out=mask, mode="wrap")
+            at = t  # t is spent
             umap.take(rows[:, 0], out=at, mode="wrap")
             at += q  # the flat index of cum[i, q]
             cum.take(at, out=below, mode="wrap")
@@ -460,9 +470,7 @@ class _CornerScorer:
             above -= below
             q *= 65
             q += above  # the flat index of word[q, above]
-            t &= 63
             word.take(q, out=bits, mode="wrap")
-            _LOW_BITS.take(t, out=mask, mode="wrap")
             bits &= mask
             np.bitwise_count(bits, out=above)
             if c:
@@ -475,16 +483,14 @@ class _CornerScorer:
               boxes: Sequence[AnchoredBox] | None = None) -> None:
         """Score up to ``self.block`` corners given their open and closed
         rows; ``boxes`` are their own boxes."""
-        m = corners.shape[0]
-        rows = self.block_rows(m)
+        rows = self.block_rows(corners.shape[0])
         np.copyto(rows[0], open_rows.T)
         np.copyto(rows[1], closed_rows.T)
-        count = self.count(rows)
-        vols, d_plus, d_minus = self.floats[:, :m]
-        np.copyto(vols, corners[:, 0])
+        opened, closed = self.shares(rows)
+        vols = corners[:, 0].copy()
         for j in range(1, corners.shape[1]):
             vols *= corners[:, j]
-        cand = _corner_values(count[1], count[0], self.n, vols, d_plus, d_minus)
+        cand = _corner_values(closed, opened, vols)
         i = int(cand.argmax())
         if cand[i] > self.value:
             self.value = float(cand[i])
@@ -512,22 +518,35 @@ class _BoxSearch:
     and closed rows are its two ends.  ``boxes_bounded`` counts the boxes
     bounded and ``corners_scored`` those that are single corners, whose
     bound is their value; neither counts the points' own corners.
+
+    The scorer's workspace holds C = max(B, 2^d) corners, a block or one
+    box's children, and so a chunk's per << d children: the kept children
+    are its rows to count, and their shares its counts.  The search's own
+    arrays, sized for the chunk's boxes and C children, are ``ends``, the
+    boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
+    children before the empty ones drop and then the kept ones' extents
+    (int32, 2 x d x C), ``vols``, vol(lo) and vol(hi) (float64, 2 x C),
+    ``gaps``, the factors of a volume, then the attained sides and then the
+    bound (float64, C), and boolean masks.
     """
 
     def __init__(self, grids: list[np.ndarray], ranks: np.ndarray):
         #: Per axis, the grid shifted by one, so that vol(hi) reads it at he.
         self.shifted = [np.concatenate((g[:1], g)) for g in grids]
         self.grids = [s[1:] for s in self.shifted]
-        self.scorer = _CornerScorer(self.grids, ranks)
-        self.n = ranks.shape[0]
         d = len(grids)
-        #: Boxes split per chunk; their children fill a block.
+        self.scorer = _CornerScorer(self.grids, ranks, 1 << d)
+        self.n = ranks.shape[0]
+        #: Boxes split per chunk: their children fill a block, or are one box's.
         self.per = max(1, self.scorer.block >> d)
         self.child_rows = _child_rows(d)
-        children = self.per << d
-        self.ends = self.scorer.floats.reshape(-1).view(np.int32)
-        self.axis_masks = np.empty(d * children, dtype=bool)
-        self.masks = np.empty((3, children), dtype=bool)
+        size = self.scorer.size
+        self.ends = np.empty(3 * d * self.per, dtype=np.int32)
+        self.children = np.empty(2 * d * size, dtype=np.int32)
+        self.vols = np.empty(2 * size)
+        self.gaps = np.empty(size)
+        self.axis_masks = np.empty(d * size, dtype=bool)
+        self.masks = np.empty((3, size), dtype=bool)
         self.value = -np.inf
         self.floor = -np.inf
         self.corner: list[int] = []
@@ -547,8 +566,8 @@ class _BoxSearch:
             rows = scorer.block_rows(corners.shape[1])
             np.copyto(rows[0], corners)
             np.add(corners, 1, out=rows[1])
-            count = scorer.count(rows)
-            self._score(corners, count[1], count[0], self._volumes(rows)[0])
+            opened, closed = scorer.shares(rows)
+            self._score(corners, closed, opened, self._volumes(rows)[0])
         whole = np.zeros((2, len(self.grids), 1), dtype=np.int32)
         whole[1, :, 0] = scorer.top + 1
         stack = [(whole, np.array([np.inf]))]
@@ -571,7 +590,7 @@ class _BoxSearch:
     def _split(self, boxes: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """The children of the boxes at ``keep``: [lo, mid) or [mid, he) on
         each axis, mid = (lo + he + 1) >> 1, where an upper half is empty
-        if he = lo + 1 and drops out; as the workspace's rows."""
+        if he = lo + 1 and drops out; as the scorer's rows."""
         d, m = len(self.grids), keep.size
         ends = self.ends[:3 * d * m].reshape(3, d, m)
         boxes.take(keep, axis=2, out=ends[:2], mode="wrap")
@@ -579,7 +598,7 @@ class _BoxSearch:
         np.add(ends[0], ends[1], out=mid)
         mid += 1
         mid >>= 1
-        children = self.scorer.spare[:2 * d * m << d].reshape(-1, m)
+        children = self.children[:2 * d * m << d].reshape(-1, m)
         ends.reshape(3 * d, m).take(self.child_rows, axis=0, out=children, mode="wrap")
         children = children.reshape(2, d, m << d)
         nonempty = self.axis_masks[:d * m << d].reshape(d, -1)
@@ -593,34 +612,31 @@ class _BoxSearch:
 
     def _volumes(self, rows: np.ndarray) -> np.ndarray:
         """vol(lo) and vol(hi) of the boxes of ``rows`` (2, d, k), as a
-        (2, k) view of the workspace's first float array."""
-        vols, part = _views(self.scorer.floats[:2], rows.shape[2])
-        for j, (grid, shifted) in enumerate(zip(self.grids, self.shifted)):
-            out = part if j else vols
-            grid.take(rows[0, j], out=out[0], mode="wrap")
-            shifted.take(rows[1, j], out=out[1], mode="wrap")
-            if j:
-                vols *= part
+        (2, k) view of ``vols``; ``gaps`` holds the factors."""
+        k = rows.shape[2]
+        vols, = _pairs(k, self.vols)
+        part = self.gaps[:k]
+        for vol, end, grids in zip(vols, rows, (self.grids, self.shifted)):
+            for j, grid in enumerate(grids):
+                grid.take(end[j], out=part if j else vol, mode="wrap")
+                if j:
+                    vol *= part
         return vols
 
     def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Bounds the boxes and raises the floor; scores the single corners
         that reach it and returns the other boxes that do, best bound last."""
         d, k = boxes.shape[1:]
-        count = self.scorer.count(boxes)
-        vols = self._volumes(boxes)
-        share, gap = _views(self.scorer.floats[1:], k)
-        np.divide(count, self.n, out=share)
-        opened, closed, vol_lo, vol_hi = share[0], share[1], vols[0], vols[1]
+        opened, closed = self.scorer.shares(boxes)
+        vol_lo, vol_hi = self._volumes(boxes)
         # Attained: the closed side at hi and the open side at lo.
-        np.subtract(closed, vol_hi, out=gap[0])
-        np.subtract(vol_lo, opened, out=gap[1])
-        self.floor = max(self.floor, float(np.maximum.reduce(gap, axis=None)))
-        bound = gap[0]
-        np.subtract(closed, vol_lo, out=bound)
-        np.subtract(vol_hi, opened, out=gap[1])
-        np.maximum(bound, gap[1], out=bound)
-        extent = self.scorer.spare[:d * k].reshape(d, k)
+        gap = self.gaps[:k]
+        attained = np.subtract(closed, vol_hi, out=gap).max()
+        attained = max(attained, np.subtract(vol_lo, opened, out=gap).max())
+        self.floor = max(self.floor, float(attained))
+        bound = np.subtract(closed, vol_lo, out=gap)
+        np.maximum(bound, np.subtract(vol_hi, opened, out=vol_hi), out=bound)
+        extent = self.children[:d * k].reshape(d, k)  # the children are in the rows
         np.subtract(boxes[1], boxes[0], out=extent)
         unit = self.axis_masks[:d * k].reshape(d, k)
         np.equal(extent, 1, out=unit)
@@ -639,16 +655,16 @@ class _BoxSearch:
         children = boxes.take(inner, axis=2), bound.take(inner)
         i = i[single]
         if i.size:
-            self._score(boxes[0].take(i, axis=1), count[1].take(i), count[0].take(i),
-                        vols[0].take(i))
+            self._score(boxes[0].take(i, axis=1), closed.take(i), opened.take(i),
+                        vol_lo.take(i))
         return children if inner.size else None
 
     def _score(self, corners: np.ndarray, closed: np.ndarray, opened: np.ndarray,
                vols: np.ndarray) -> None:
-        """Values the corners (grid indices per column) from their counts
-        and volumes; keeps the lexicographically smallest of the largest."""
-        d_plus, d_minus = _views(self.scorer.floats[2:], len(vols))[0]
-        cand = _corner_values(closed, opened, self.n, vols, d_plus, d_minus)
+        """Values the corners (grid indices per column) from their closed
+        and open shares and volumes, all three overwritten; keeps the
+        lexicographically smallest of the largest."""
+        cand = _corner_values(closed, opened, vols)
         top = float(cand.max())
         self.floor = max(self.floor, top)
         if top < self.value:
@@ -658,7 +674,7 @@ class _BoxSearch:
         corner = corners[:, i].tolist()
         if top > self.value or corner < self.corner:
             self.value, self.corner = top, corner
-            self.closed = bool(d_plus[i] >= d_minus[i])
+            self.closed = bool(closed[i] >= opened[i])
 
 
 def star_discrepancy_lower_estimate(
@@ -684,10 +700,10 @@ def star_discrepancy_lower_estimate(
     plane counts of about 130 bytes per point, rank maps of at most
     8 * d * (N + 2) bytes per chunk of 4096 points, and the points' grid
     indices.  The candidates are scored in blocks of the scorer's B
-    corners, in its workspace of about 16 d + 64 bytes per corner: for
-    d >= 3 the block's open and closed rows of one chunk fill 64 KiB (at
-    least one corner), for d <= 2 a block is 2048 corners (see the
-    module).  The random corners are drawn one block at a time
+    corners, in its workspace of 8 d + 16 bytes per corner and the count's
+    scratch (see the module): for d >= 3 the block's open and closed rows
+    of one chunk fill 64 KiB (at least one corner), for d <= 2 a block is
+    2048 corners.  The random corners are drawn one block at a time
     (``Stream.randbelow_rows``), so memory does not grow with the budget.
     """
     if budget < 1:

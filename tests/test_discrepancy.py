@@ -429,9 +429,7 @@ class _RecordingSearch(discrepancy._BoxSearch):
         self.scored = []
 
     def _score(self, corners, closed, opened, vols):
-        m = len(vols)
-        values = discrepancy._corner_values(closed, opened, self.n, vols.copy(),
-                                            np.empty(m), np.empty(m))
+        values = discrepancy._corner_values(closed.copy(), opened.copy(), vols.copy())
         self.scored += zip(map(tuple, corners.T.tolist()), values.tolist())
         super()._score(corners, closed, opened, vols)
 
@@ -618,6 +616,22 @@ class TestHalfOpenBoxes:
         assert search.boxes_bounded == 2 * n
         assert len(search.splits) == 10
         check_against_replaced_kernels(ps)
+
+    @pytest.mark.parametrize("n,d", [(1, 13), (2, 13), (65, 12), (2049, 7)])
+    def test_children_of_one_box_outnumber_a_block(self, n, d):
+        # The whole grid's 2**d children are more than a block of bitset
+        # counts (4096 corners for N <= 64, 2048 for N <= 128 and 124 for
+        # N = 2049), so a chunk splits one box and the workspace holds its
+        # children.  The points tie on every axis but the first, which
+        # keeps the grid small.
+        coords = lhs_sample(n, d, derive(105, f"wide-{n}-{d}")).coords.copy()
+        coords[:, 1:] = coords[0, 1:]
+        ps = PointSet(coords)
+        search = run_search(ps)
+        assert search.per == 1 and search.scorer.block < 2**d
+        check_against_replaced_kernels(ps)
+        if n <= 2:
+            assert_bit_equal(star_discrepancy_exact(ps), corner_by_corner_star_discrepancy(ps))
 
 
 def assert_search_memory_bounded(ps):
@@ -851,9 +865,10 @@ class TestLowerEstimateAgainstScalarEstimator:
         # The docstring's bound at N = 20000, d = 2: per chunk of s points
         # the planes, cum and word (about 130 bytes per point), and two
         # int32 rank maps of N + 2 rows; the grids and the grid indices,
-        # about 12 d N bytes; the workspace, about 17 d + 67 bytes per
-        # corner of a block; and the set-up's temporaries (sorts and the
-        # rank maps' sums), a few words per point.
+        # about 12 d N bytes; the scorer's workspace and a block's volumes,
+        # 96 bytes per corner of a block at d = 2 (at most 17 d + 67); and
+        # the set-up's temporaries (sorts and the rank maps' sums), a few
+        # words per point.
         # Bitset tables would take d * N * 4096 / 8 = 20 MB, and unchunked
         # ones N**2 / 8 = 50 MB per axis.
         n, d = 20000, 2
