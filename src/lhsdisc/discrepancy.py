@@ -49,10 +49,24 @@ memory instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
 1024 at d = 1, is the largest power of two whose workspace keeps the
 paper's call (d = 2, N = 3200) under 1 MiB; there 1024 ran about 1.3 times
 slower and 4096 took the call to 1.3 MiB (2-vCPU host).  The kept
-children of a chunk are pushed sorted by bound, best last, and lie one
-level below their parents, so the stack holds one chunk's children at most
-per level: with C = max(B, 2^d) and L = ceil(log2) of the longest grid, at
-most L * C boxes of 8 d + 8 bytes (2 d int32 grid indices and a bound).
+children of a chunk are pushed as one stack entry sorted ascending by
+bound, ties in the order they were split, and lie one level below their
+parents, so the stack holds one chunk's children at most per level: with
+C = max(B, 2^d) and L = ceil(log2) of the longest grid, at most L * C
+boxes of 8 d + 8 bytes (2 d int32 grid indices and a bound).  A chunk is
+the last ``per`` boxes of the top entry from its first bound at or above
+the floor, one searchsorted; the boxes below the floor are dropped, and
+once a chunk reaches them the rest of the entry goes too, as the floor
+never falls.
+
+Every order on this path is the one a stable sort gives, from a cheaper
+sort that provably returns the same permutation.  Distinct keys sort one
+way only: the bounds are sorted by numpy's default sort and re-sorted
+stably only when two neighbours of its result compare equal (-0.0 and 0.0
+too), and ``Stream.permutation`` redraws its keys on any tie.  The d <= 2
+set-up sorts are stable by grid index or block number, which have one
+result whatever the algorithm; as uint16 or uint8 keys numpy runs them as
+a radix sort, and int32 keys stay on an axis of 2^16 or more grid values.
 
 A chunk works in one workspace allocated per call for C children, so
 that it holds a block of the points' own corners or the children of one
@@ -260,6 +274,26 @@ def _pairs(k: int, *buffers: np.ndarray) -> list[np.ndarray]:
     return [b[:2 * k].reshape(2, k) for b in buffers]
 
 
+def _ascending(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` of float keys, and the keys in
+    that order.  Distinct keys sort one way only, so the default sort gives
+    the stable order unless two neighbours of its result compare equal (as
+    -0.0 and 0.0 do); only then does the stable sort run."""
+    order = keys.argsort()
+    ordered = keys.take(order)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = keys.argsort(kind="stable")
+        ordered = keys.take(order)
+    return order, ordered
+
+
+def _grid_order(ranks: np.ndarray, size: int) -> np.ndarray:
+    """``np.argsort(ranks, kind="stable")`` of grid indices on an axis of
+    ``size`` grid values.  A stable sort has one result; below 2**16 grid
+    values it runs on uint16 keys, which numpy sorts by radix."""
+    return np.argsort(ranks.astype(np.uint16) if size < 1 << 16 else ranks, kind="stable")
+
+
 class _CornerScorer:
     """Scores blocks of candidate corners and keeps the first strict maximum.
 
@@ -320,7 +354,7 @@ class _CornerScorer:
         self.top = np.array([len(g) - 1 for g in grids], dtype=np.int32)
         self.planes = d <= 2
         if d == 2:
-            order = np.argsort(self.ranks[:, -1], kind="stable")
+            order = _grid_order(self.ranks[:, -1], len(grids[-1]))
             self.chunks = [self._plane(self.ranks[order[s:s + _CHUNK_POINTS]])
                            for s in range(0, self.n, _CHUNK_POINTS)]
         elif d == 1:
@@ -384,7 +418,7 @@ class _CornerScorer:
         size = ranks.shape[0]
         blocks = (size >> 6) + 1
         stride = (blocks + 4) & -4  # the W + 1 columns, padded to whole uint64s
-        order = np.argsort(ranks[:, 0], kind="stable")  # positions in first-axis order
+        order = _grid_order(ranks[:, 0], len(self.grids[0]))  # positions in first-axis order
         block = order >> 6
         # Row i of cum sums the steps of the first i points in first-axis
         # order, a step being one in the columns past the point's block.
@@ -395,7 +429,7 @@ class _CornerScorer:
         step.view(np.uint64).take(block, axis=0, out=wide[1:], mode="wrap")
         np.add.accumulate(wide, axis=0, out=wide)
         # Grouped by block, each block's points stay in first-axis order.
-        order = order[np.argsort(block, kind="stable")]
+        order = order[np.argsort(block.astype(np.uint8), kind="stable")]  # block < 64
         pos = np.arange(size)
         word = np.zeros((blocks, 65), dtype=np.uint64)
         word[pos >> 6, (pos & 63) + 1] = np.left_shift(np.uint64(1),
@@ -574,26 +608,28 @@ class _BoxSearch:
         per = self.per
         while stack:
             boxes, bound = stack[-1]
-            if bound.size > per:
-                stack[-1] = boxes[..., :-per], bound[:-per]
-                boxes, bound = boxes[..., -per:], bound[-per:]
+            # The entry ascends by bound and the floor never falls: its boxes
+            # below the floor are dropped, with the rest of the entry once
+            # the last ``per`` boxes reach them.
+            start = bound.size - per
+            cut = int(bound.searchsorted(self.floor))
+            if start > cut:
+                stack[-1] = boxes[..., :start], bound[:start]
             else:
                 stack.pop()
-            reach = self.masks[2, :bound.size]
-            np.greater_equal(bound, self.floor, out=reach)  # the floor may have risen since
-            keep = reach.nonzero()[0]
-            if keep.size:
-                children = self._bound(self._split(boxes, keep))
+                start = cut
+            if start < bound.size:
+                children = self._bound(self._split(boxes[..., start:]))
                 if children is not None:
                     stack.append(children)
 
-    def _split(self, boxes: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The children of the boxes at ``keep``: [lo, mid) or [mid, he) on
-        each axis, mid = (lo + he + 1) >> 1, where an upper half is empty
-        if he = lo + 1 and drops out; as the scorer's rows."""
-        d, m = len(self.grids), keep.size
+    def _split(self, boxes: np.ndarray) -> np.ndarray:
+        """The children of ``boxes``: [lo, mid) or [mid, he) on each axis,
+        mid = (lo + he + 1) >> 1, where an upper half is empty if
+        he = lo + 1 and drops out; as the scorer's rows."""
+        d, m = boxes.shape[1:]
         ends = self.ends[:3 * d * m].reshape(3, d, m)
-        boxes.take(keep, axis=2, out=ends[:2], mode="wrap")
+        np.copyto(ends[:2], boxes)
         mid = ends[2]
         np.add(ends[0], ends[1], out=mid)
         mid += 1
@@ -625,7 +661,8 @@ class _BoxSearch:
 
     def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Bounds the boxes and raises the floor; scores the single corners
-        that reach it and returns the other boxes that do, best bound last."""
+        that reach it and returns the other boxes that do, sorted ascending
+        by bound (see ``_ascending``)."""
         d, k = boxes.shape[1:]
         opened, closed = self.scorer.shares(boxes)
         vol_lo, vol_hi = self._volumes(boxes)
@@ -642,22 +679,23 @@ class _BoxSearch:
         np.equal(extent, 1, out=unit)
         leaf = self.masks[1, :k]
         np.logical_and.reduce(unit, axis=0, out=leaf)
+        leaves = int(np.count_nonzero(leaf))
         self.boxes_bounded += k
-        self.corners_scored += int(np.count_nonzero(leaf))
+        self.corners_scored += leaves
         reach = self.masks[2, :k]
         np.greater_equal(bound, self.floor, out=reach)
-        i = reach.nonzero()[0]
-        if not i.size:
+        inner = reach.nonzero()[0]
+        if leaves and inner.size:
+            single = leaf.take(inner)
+            i = inner[single]
+            inner = inner[~single]
+            if i.size:
+                self._score(boxes[0].take(i, axis=1), closed.take(i), opened.take(i),
+                            vol_lo.take(i))
+        if not inner.size:
             return None
-        single = leaf.take(i)
-        inner = i[~single]
-        inner = inner[np.argsort(bound.take(inner), kind="stable")]
-        children = boxes.take(inner, axis=2), bound.take(inner)
-        i = i[single]
-        if i.size:
-            self._score(boxes[0].take(i, axis=1), closed.take(i), opened.take(i),
-                        vol_lo.take(i))
-        return children if inner.size else None
+        order, bound = _ascending(bound.take(inner))
+        return boxes.take(inner.take(order), axis=2), bound
 
     def _score(self, corners: np.ndarray, closed: np.ndarray, opened: np.ndarray,
                vols: np.ndarray) -> None:

@@ -195,12 +195,14 @@ class Stream:
         distinct the resulting order is exactly uniform over all n!
         permutations.  On a key collision (probability < n^2 / 2^65) the
         whole block is redrawn, which preserves both uniformity and
-        determinism of the stream.
+        determinism of the stream.  Distinct keys sort one way only, so
+        numpy's default sort returns the stable sort's permutation.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         while True:
             keys = self.u64_block(n)
-            order = np.argsort(keys, kind="stable")
-            if n == 1 or not np.any(keys[order][1:] == keys[order][:-1]):
+            order = keys.argsort()
+            ordered = keys.take(order)
+            if not (ordered[1:] == ordered[:-1]).any():
                 return order

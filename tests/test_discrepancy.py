@@ -420,6 +420,18 @@ class TestBoundAndSkip:
         search = run_search(lhs_sample(128, 3, seed=derive(88, "counters")))
         assert (search.boxes_bounded, search.corners_scored) == (15304, 128)
 
+    def test_counters_of_the_paper_memory_search(self):
+        # The d = 2, N = 3200 call of the table memory test: the tree of
+        # the stable bound sorts, box for box.
+        search = run_search(lhs_sample(3200, 2, seed=derive(80, "memory")))
+        assert (search.boxes_bounded, search.corners_scored) == (46098, 85)
+
+    def test_counters_of_a_search_with_tied_bounds(self):
+        # A lattice whose kept children often tie on their bounds: ties
+        # are pushed in the order they were split, as a stable sort keeps.
+        search = run_search(korobov(128, 25))
+        assert (search.boxes_bounded, search.corners_scored) == (87816, 16072)
+
 
 class _RecordingSearch(discrepancy._BoxSearch):
     """The search, recording every single corner it scores, in order."""
@@ -546,9 +558,9 @@ class _ChunkRecordingSearch(discrepancy._BoxSearch):
         super().__init__(*args)
         self.splits = []
 
-    def _split(self, boxes, keep):
-        self.splits.append(keep.size)
-        return super()._split(boxes, keep)
+    def _split(self, boxes):
+        self.splits.append(boxes.shape[2])
+        return super()._split(boxes)
 
 
 class TestHalfOpenBoxes:
@@ -632,6 +644,73 @@ class TestHalfOpenBoxes:
         check_against_replaced_kernels(ps)
         if n <= 2:
             assert_bit_equal(star_discrepancy_exact(ps), corner_by_corner_star_discrepancy(ps))
+
+
+class TestSameOrders:
+    """Each faster sort returns the permutation of the stable sort it
+    replaces."""
+
+    KEYS = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 2.0**-1074, 0.25, 1.0, np.inf])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(KEYS | st.floats(allow_nan=False), max_size=300))
+    def test_bound_order_is_the_stable_order(self, keys):
+        keys = np.array(keys, dtype=np.float64)
+        order, ordered = discrepancy._ascending(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, expected)
+        assert ordered.tobytes() == keys[expected].tobytes()
+
+    @pytest.mark.parametrize("n", [100, 2048, 10000])
+    def test_bound_order_of_many_ties(self, n):
+        # Long runs of equal keys, -0.0 among 0.0 and both infinities,
+        # past the sizes that the default sort handles by insertion.
+        stream = Stream(derive(106, n))
+        values = np.array([-np.inf, -0.0, 0.0, 0.5, np.inf])
+        keys = values[stream.randbelow_rows([len(values)], n)[:, 0]]
+        order, ordered = discrepancy._ascending(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, expected)
+        assert ordered.tobytes() == keys[expected].tobytes()
+
+    def test_tied_bounds_are_sorted_stably(self, monkeypatch):
+        # The search over korobov(128, 25) sorts kept children with tied
+        # bounds (see its pinned counters).
+        tied = []
+        ascending = discrepancy._ascending
+
+        def recording(keys):
+            tied.append(len(np.unique(keys)) < keys.size)
+            return ascending(keys)
+
+        monkeypatch.setattr(discrepancy, "_ascending", recording)
+        run_search(korobov(128, 25))
+        assert 0 < sum(tied) < len(tied)
+
+    @pytest.mark.parametrize("share", [1.0, 0.5])
+    def test_plane_counts_with_wide_grids(self, share):
+        # 70000 points, so that an axis has more than 2**16 grid values
+        # and its grid indices sort as int32; with share 0.5 the first
+        # axis has fewer and sorts as uint16.  Counts at random rows and
+        # at the rows around 2**16 equal a brute-force count.
+        n = 70000
+        stream = Stream(derive(107, f"wide-{share}"))
+        coords = uniform_sample(n, 2, derive(107, f"wide-{share}")).coords.copy()
+        if share < 1.0:
+            coords[:, 0] = np.floor(coords[:, 0] * 30000) / 30000
+        scorer = discrepancy._CornerScorer(*discrepancy._grids(coords))
+        assert max(len(g) for g in scorer.grids) > 1 << 16
+        assert (min(len(g) for g in scorer.grids) < 1 << 16) == (share < 1.0)
+        k = 256
+        rows = scorer.block_rows(k)
+        rows[:, :, :] = stream.randbelow_rows([int(t) + 2 for t in scorer.top] * 2,
+                                              k).T.reshape(2, 2, k)
+        edges = np.array([0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+        rows[0, 1, :edges.size] = np.minimum(edges, scorer.top[1] + 1)
+        rows[1, 0, :edges.size] = np.minimum(edges, scorer.top[0] + 1)
+        expected = [[np.count_nonzero(np.all(scorer.ranks < row, axis=1)) / n
+                     for row in side.T] for side in rows]
+        assert scorer.shares(rows).tolist() == expected
 
 
 def assert_search_memory_bounded(ps):

@@ -182,3 +182,40 @@ def test_permutation_redraws_on_key_collision():
     perm = s.permutation(4)
     assert s.calls == 2
     assert sorted(perm.tolist()) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 1000, 3200])
+def test_permutation_is_the_stable_order_of_its_keys(n):
+    # Distinct keys sort one way only, so the permutation is the stable
+    # order of the block it draws.
+    for seed in range(5):
+        keys = Stream(derive(seed, n)).u64_block(n)
+        assert len(np.unique(keys)) == n
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(Stream(derive(seed, n)).permutation(n), expected)
+
+
+def test_permutation_redraws_on_one_duplicate_key(monkeypatch):
+    # One pair of equal keys among 1000 distinct ones, far apart in the
+    # block: the block is redrawn and the permutation is the next block's.
+    n = 1000
+    drawn = []
+    u64_block = Stream.u64_block
+
+    def first_block_with_a_duplicate(self, k):
+        keys = u64_block(self, k)
+        if not drawn:
+            keys[k - 1] = keys[3]
+        drawn.append(keys.copy())
+        return keys
+
+    monkeypatch.setattr(Stream, "u64_block", first_block_with_a_duplicate)
+    s = Stream(derive(7, "duplicate"))
+    perm = s.permutation(n)
+    assert len(drawn) == 2
+    assert len(np.unique(drawn[0])) == n - 1
+    assert np.array_equal(perm, np.argsort(drawn[1], kind="stable"))
+    monkeypatch.undo()
+    expected = Stream(derive(7, "duplicate"))
+    expected.u64_block(n)
+    assert np.array_equal(perm, expected.permutation(n))
