@@ -725,8 +725,10 @@ def star_discrepancy_lower_estimate(
 
     Takes the best local discrepancy (open and closed-limit evaluations)
     over any caller-supplied boxes, then the boxes anchored at each point,
-    then ``budget`` random corners drawn from the critical grid, one
-    ``randbelow`` per axis and corner in row-major order.  A box replaces
+    then ``budget`` random corners drawn from the critical grid: with L the
+    largest grid size, one ``randbelow(L)`` per axis and corner in
+    row-major order, mapped to index ``pick * len(g) // L`` of axis grid
+    g (the pick itself when every axis has L values).  A box replaces
     the best one only when its value is strictly larger, so the first
     maximizer in that order is returned (a winning extra box is returned
     as passed).  For a fixed seed the random corners form a prefix stream,
@@ -742,7 +744,7 @@ def star_discrepancy_lower_estimate(
     scratch (see the module): for d >= 3 the block's open and closed rows
     of one chunk fill 64 KiB (at least one corner), for d <= 2 a block is
     2048 corners.  The random corners are drawn one block at a time
-    (``Stream.randbelow_rows``), so memory does not grow with the budget.
+    (``Stream.randbelow_block``), so memory does not grow with the budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -762,10 +764,15 @@ def star_discrepancy_lower_estimate(
         ranks = scorer.ranks[i:i + step]
         scorer.offer(coords[i:i + step], ranks, ranks + 1)
 
-    sizes = [len(g) for g in grids]
+    sizes = np.array([len(g) for g in grids])
+    largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
     for done in range(0, budget, step):
-        picks = stream.randbelow_rows(sizes, min(step, budget - done))
+        rows = min(step, budget - done)
+        picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
+        if sizes.min() < largest:  # else the map is the identity
+            picks *= sizes
+            picks //= largest
         scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]),
                      picks, picks + 1)
 

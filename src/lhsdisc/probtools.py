@@ -78,12 +78,7 @@ class DiscreteDistribution:
         return 0.0
 
     def cdf(self, k: int) -> float:
-        i = k - self.offset
-        if i < 0:
-            return 0.0
-        if i >= self.probs.size - 1:
-            return 1.0
-        return min(1.0, float(self.probs[: i + 1].sum()))
+        return _nearest_tail_cdf(self.pmf, self.offset, self.offset + self.probs.size - 1, k)
 
 
 @dataclass

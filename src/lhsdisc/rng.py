@@ -15,8 +15,6 @@ derived stream so results never depend on scheduling.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -36,8 +34,8 @@ _U11 = np.uint64(11)
 #: 2**-53; top 53 bits of an output map to a uniform double in [0, 1).
 _INV53 = float.fromhex("0x1p-53")
 
-#: Outputs x cycle states per scan chunk of ``Stream.randbelow_rows``.
-_SCAN_CELLS = 1 << 16
+#: Outputs per draw chunk of ``Stream.randbelow_block``.
+_DRAW_CELLS = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -121,71 +119,32 @@ class Stream:
             if r < bound:
                 return r
 
-    def randbelow_rows(self, bounds: Sequence[int], rows: int) -> np.ndarray:
-        """``rows`` rows of ``randbelow(b) for b in bounds`` as an int64 array.
+    def randbelow_block(self, bound: int, n: int) -> np.ndarray:
+        """The next ``n`` values of ``randbelow(bound)`` as an int64 array.
 
-        Bit-equal to the scalar calls made row by row, left to right, and
-        leaves the stream at the same counter.  A bound of 1 consumes no
-        output, as in ``randbelow``.
+        Bit-equal to the scalar calls and leaves the stream at the same
+        counter: outputs are read in chunks of at most ``_DRAW_CELLS`` and
+        only those up to the last acceptance used are consumed.  A bound of
+        1 consumes no output, as in ``randbelow``.
         """
-        bounds = [int(b) for b in bounds]
-        if any(b <= 0 for b in bounds):
+        if bound <= 0:
             raise ValueError("bound must be positive")
-        out = np.zeros((rows, len(bounds)), dtype=np.int64)
-        active = [j for j, b in enumerate(bounds) if b > 1]
-        if active and rows > 0:
-            values = self._accepted([bounds[j] for j in active], rows * len(active))
-            out[:, active] = values.reshape(rows, len(active))
-        return out
-
-    def _accepted(self, bounds: list[int], need: int) -> np.ndarray:
-        """The first ``need`` values that bitmask rejection accepts, with the
-        bound cycling through ``bounds`` and moving on only at an acceptance.
-
-        Which bound an output is tested against depends on every rejection
-        before it, so the state (the position in the cycle) of each output
-        of a chunk comes from an inclusive scan that composes the per-output
-        state maps, doubling the span each pass (Hillis-Steele).  When every
-        bound is equal, acceptance does not depend on the state: the cycle
-        collapses to one state, every state is 0 and no scan is needed.
-        Only the outputs up to the last acceptance used are consumed.
-        """
-        if len(set(bounds)) == 1:
-            bounds = bounds[:1]
-        p = len(bounds)
-        bound = np.array(bounds, dtype=np.uint64)
-        mask = np.array([(1 << (b - 1).bit_length()) - 1 for b in bounds], dtype=np.uint64)
-        chunk = max(1, _SCAN_CELLS // p)
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if bound == 1 or n == 0:
+            return np.zeros(n, dtype=np.int64)
+        mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
         parts = []
-        state = 0
-        while need:
+        while n:
             start = self._count
             # An acceptance takes fewer than two outputs on average.
-            m = min(need * 9 // 4 + 64, chunk)
-            values = self.u64_block(m)[:, None] & mask  # (m, p): as drawn in each state
-            accept = values < bound
-            if p > 1:
-                # maps[j, s]: the state after output j when it is drawn in state
-                # s; the scan makes it the state after outputs 0..j from state s.
-                maps = (np.arange(p) + accept) % p
-                flat = maps.reshape(-1)
-                offsets = np.arange(0, m * p, p)[:, None]
-                span = 1
-                while span < m:
-                    maps[span:] = flat[maps[:-span] + offsets[span:]]
-                    span *= 2
-                states = np.empty(m, dtype=np.intp)
-                states[0] = state
-                states[1:] = maps[:-1, state]
-                state = int(maps[-1, state])
-                drawn = (np.arange(m), states)  # each output in its own state
-                values, accept = values[drawn], accept[drawn]
-            hits = np.flatnonzero(accept)
-            if hits.size >= need:
-                hits = hits[:need]
+            values = self.u64_block(min(n * 9 // 4 + 64, _DRAW_CELLS)) & mask
+            hits = np.flatnonzero(values < np.uint64(bound))
+            if hits.size >= n:
+                hits = hits[:n]
                 self._count = start + int(hits[-1]) + 1
-            parts.append(values.reshape(-1)[hits])
-            need -= hits.size
+            parts.append(values[hits])
+            n -= hits.size
         return np.concatenate(parts).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:

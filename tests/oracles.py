@@ -286,9 +286,10 @@ def reference_star_discrepancy_lower_estimate(
         consider(AnchoredBox(row.copy()))
 
     grids = _grids(ps.coords)
+    largest = max(len(g) for g in grids)
     stream = Stream(derive(seed, "lower-estimate"))
     for _ in range(budget):
-        corner = np.array([g[stream.randbelow(len(g))] for g in grids])
+        corner = np.array([g[stream.randbelow(largest) * len(g) // largest] for g in grids])
         consider(AnchoredBox(corner))
 
     assert best_box is not None

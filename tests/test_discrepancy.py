@@ -667,7 +667,7 @@ class TestSameOrders:
         # past the sizes that the default sort handles by insertion.
         stream = Stream(derive(106, n))
         values = np.array([-np.inf, -0.0, 0.0, 0.5, np.inf])
-        keys = values[stream.randbelow_rows([len(values)], n)[:, 0]]
+        keys = values[stream.randbelow_block(len(values), n)]
         order, ordered = discrepancy._ascending(keys)
         expected = np.argsort(keys, kind="stable")
         assert np.array_equal(order, expected)
@@ -703,8 +703,9 @@ class TestSameOrders:
         assert (min(len(g) for g in scorer.grids) < 1 << 16) == (share < 1.0)
         k = 256
         rows = scorer.block_rows(k)
-        rows[:, :, :] = stream.randbelow_rows([int(t) + 2 for t in scorer.top] * 2,
-                                              k).T.reshape(2, 2, k)
+        for side in rows:
+            for j, top in enumerate(scorer.top):
+                side[j] = stream.randbelow_block(int(top) + 2, k)
         edges = np.array([0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
         rows[0, 1, :edges.size] = np.minimum(edges, scorer.top[1] + 1)
         rows[1, 0, :edges.size] = np.minimum(edges, scorer.top[0] + 1)
@@ -820,6 +821,21 @@ class TestLowerEstimateAgainstScalarEstimator:
         # d = 3, N = 128, budget 12000: 24 blocks of random corners.
         ps = sampler(128, 3, derive(91, "shape"))
         assert_estimate_bit_equal(ps, 12000, seed=4)
+
+    @pytest.mark.parametrize("sampler,value,upper", [
+        (lhs_sample, "0x1.0539478db701cp-4",
+         ["0x1.d80c3eb34909ap-2", "0x1.271e249532e48p-1", "0x1.fd5fe8868c55ep-1"]),
+        (uniform_sample, "0x1.9b48ec8332958p-4",
+         ["0x1.a5e4e43d87b5fp-1", "0x1.5e92d1d2e9d6dp-1", "0x1.f64fd836f8bacp-1"]),
+    ])
+    def test_benchmark_shape_pinned(self, sampler, value, upper):
+        # Every axis of these sets has the same grid size, so the random
+        # corners are the draws of one randbelow per axis and corner; the
+        # winning boxes are random corners, not point boxes.
+        ps = sampler(128, 3, derive(91, "shape"))
+        found_value, found = star_discrepancy_lower_estimate(ps, 12000, 4)
+        assert found_value.hex() == value
+        assert [x.hex() for x in found.upper.tolist()] == upper
 
     def test_extra_boxes_tie_and_win(self):
         ps = lhs_sample(40, 2, derive(92, "extra"))

@@ -141,6 +141,21 @@ class TestDistributionsAndTV:
         assert d.pmf(2) == 0.25 and d.pmf(1) == 0.0
         assert d.cdf(1) == 0.0 and d.cdf(3) == 1.0
 
+    @pytest.mark.parametrize("n,p", [(200, 0.0125), (50, 0.3), (20, 0.5), (1000, 0.004),
+                                     (0, 0.3), (7, 0.0), (7, 1.0)])
+    def test_binomial_cdf_is_binom_cdf(self, n, p):
+        # Bit for bit at every k, from the same nearer-tail sums.
+        law = binom_distribution(n, p)
+        for k in range(-1, n + 2):
+            assert law.cdf(k).hex() == binom_cdf(n, p, k).hex()
+
+    @pytest.mark.parametrize("args", [(60, 20, 30), (3200, 800, 20), (10, 5, 5),
+                                      (100, 97, 40), (9, 0, 4)])
+    def test_hypergeometric_cdf_is_hypergeom_cdf(self, args):
+        law = hypergeom_distribution(*args)
+        for k in range(law.offset - 1, law.offset + law.probs.size + 1):
+            assert law.cdf(k).hex() == hypergeom_cdf(*args, k).hex()
+
     def test_constructed_distributions_normalized(self):
         for n_total, n_white, n_draws in [(60, 20, 30), (3200, 800, 20)]:
             h = hypergeom_distribution(n_total, n_white, n_draws)

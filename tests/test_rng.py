@@ -71,73 +71,29 @@ def test_randbelow_bounds_and_determinism():
         s.randbelow(0)
 
 
-def scalar_rows(stream, bounds, rows):
-    return [[stream.randbelow(b) for b in bounds] for _ in range(rows)]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 77])
-def test_randbelow_rows_matches_scalar_calls(seed):
-    # Bounds 1 (no output), 2 and 64 (no rejection), 65 and 129 (about
-    # half the outputs rejected), in several orders, over several calls.
-    orders = [[1, 2, 64, 65, 129], [129, 65, 1, 64, 2], [65, 1, 1, 129], [64, 2], [129]]
-    rows_a, rows_b = Stream(seed), Stream(seed)
-    for bounds in orders:
-        for rows in (1, 2, 7, 100, 513):
-            got = rows_a.randbelow_rows(bounds, rows)
-            assert got.dtype == np.int64 and got.shape == (rows, len(bounds))
-            assert got.tolist() == scalar_rows(rows_b, bounds, rows)
-            assert rows_a._count == rows_b._count
-    assert rows_a.next_u64() == rows_b.next_u64()
-
-
-def test_randbelow_rows_across_scan_chunks():
-    # Far more outputs than one scan chunk, with the chunk ending mid-row.
-    bounds = [129, 65, 2, 64, 129]
-    a, b = Stream(5), Stream(5)
-    assert a.randbelow_rows(bounds, 9000).tolist() == scalar_rows(b, bounds, 9000)
-    assert a._count == b._count
-    a, b = Stream(6), Stream(6)
-    assert a.randbelow_rows([65], 70000).tolist() == scalar_rows(b, [65], 70000)
-    assert a._count == b._count
-
-
-def assert_rows_match_scalar_calls(seed, calls):
+@pytest.mark.parametrize("seed", [0, 77])
+@pytest.mark.parametrize("bound", [1, 2, 64, 65, 129])
+def test_randbelow_block_matches_scalar_calls(bound, seed):
+    # Bound 1 draws no output, 2 and 64 reject none, 65 and 129 about half;
+    # 70000 values take more than one draw chunk at every bound above 1.
+    assert 70000 > rng._DRAW_CELLS
     a, b = Stream(seed), Stream(seed)
-    for bounds, rows in calls:
-        assert a.randbelow_rows(bounds, rows).tolist() == scalar_rows(b, bounds, rows)
+    for n in (0, 1, 2, 7, 513, 70000, 3):
+        got = a.randbelow_block(bound, n)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert got.tolist() == [b.randbelow(bound) for _ in range(n)]
         assert a._count == b._count
+    assert a.next_u64() == b.next_u64()
 
 
-def test_randbelow_rows_equal_bounds_across_scan_chunks():
-    # Equal bounds are one cycle state: a scan chunk is _SCAN_CELLS outputs.
-    # 30000 rows of 3 take about 180k outputs, and the first chunk's
-    # acceptances do not fill whole rows, so it ends mid-row.
-    first = Stream(12).u64_block(rng._SCAN_CELLS) & np.uint64(255)
-    assert np.count_nonzero(first < 129) % 3 != 0
-    assert_rows_match_scalar_calls(12, [([129, 129, 129], 30000)])
-
-
-@pytest.mark.parametrize("bounds", [[129, 1, 129], [64, 64]])
-def test_randbelow_rows_equal_bounds(bounds):
-    # A bound of 1 draws nothing, so [129, 1, 129] is the one state of 129;
-    # with bound 64 no output is rejected.
-    for seed in (0, 13):
-        assert_rows_match_scalar_calls(seed, [(bounds, rows) for rows in (1, 5, 700, 9000)])
-
-
-def test_randbelow_rows_equal_then_unequal_bounds():
-    assert_rows_match_scalar_calls(14, [([129, 129, 129], 4000), ([129, 65, 129], 4000),
-                                        ([65, 65], 3000), ([2, 129], 10),
-                                        ([129, 129, 129], 7)])
-
-
-def test_randbelow_rows_edge_cases():
+def test_randbelow_block_rejects_bad_arguments():
     s = Stream(8)
-    assert s.randbelow_rows([1, 1], 4).tolist() == [[0, 0]] * 4
-    assert s.randbelow_rows([5, 7], 0).shape == (0, 2)
-    assert s._count == 0
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            s.randbelow_block(bound, 2)
     with pytest.raises(ValueError):
-        s.randbelow_rows([3, 0], 2)
+        s.randbelow_block(5, -1)
+    assert s._count == 0
 
 
 def test_permutation_is_a_bijection():
