@@ -268,24 +268,34 @@ class TestEmit:
         assert "3" in payload["per_c"]
         assert payload["per_c"]["3"]["threshold"] == pytest.approx(3 * math.sqrt(2 / 3200))
 
-    def test_artifact_bytes_pinned(self):
+    @pytest.mark.parametrize("method,dstars,mean,se", [
+        pytest.param("exact", ("0.046732036256787721", "0.040500527200427128",
+                               "0.058912434452360107"),
+                     "0.048714999303191654", "0.00540674544730926", id="exact"),
+        pytest.param("estimate", ("0.043384491445356888", "0.033047404218017995",
+                                  "0.04889392712613605"),
+                     "0.04177527426317031", "0.004644719475704317", id="estimate"),
+    ])
+    def test_artifact_bytes_pinned(self, method, dstars, mean, se):
         # N = 160 admits a non-strict slab constant (k = 1), so every
         # deterministic column is filled; c = 1 has no tail reference and
-        # c = 3 has one.
-        config = small_config(N=160, trials=3, strict_witness=False)
+        # c = 3 has one.  The estimate (budget 50) is also given each
+        # trial's witness box.
+        config = small_config(N=160, trials=3, strict_witness=False, method=method,
+                              estimate_budget=50)
         records = run_trials(config)
         assert emit_csv(records) == (
             "trial,seed,dstar,method,witness_bound,k_count,runtime_ms\n"
-            "0,4543630709867271855,0.046732036256787721,exact,0,0,\n"
-            "1,9755870440102326128,0.040500527200427128,exact,0.0015625000000000001,1,\n"
-            "2,16598938683728881325,0.058912434452360107,exact,0,0,\n"
+            f"0,4543630709867271855,{dstars[0]},{method},0,0,\n"
+            f"1,9755870440102326128,{dstars[1]},{method},0.0015625000000000001,1,\n"
+            f"2,16598938683728881325,{dstars[2]},{method},0,0,\n"
         )
         assert emit_json(summarize(records, config)) == """\
 {
   "n_trials": 3,
   "n_ok": 3,
-  "dstar_mean": 0.048714999303191654,
-  "dstar_se": 0.00540674544730926,
+  "dstar_mean": %s,
+  "dstar_se": %s,
   "k_mean": 0.3333333333333333,
   "k_reference": 0.0125,
   "witness_mean": 0.0005208333333333333,
@@ -308,5 +318,5 @@ class TestEmit:
     }
   }
 }
-"""
+""" % (mean, se)
 
