@@ -11,11 +11,13 @@ exact supremum with no epsilon perturbation anywhere; coordinates are
 exact binary64 values and strict/non-strict comparisons are well defined.
 
 The exact kernel values a corner with the same binary64 operations in
-the same order as a direct evaluation: volume ((1*a)*b)*c, then
-closed/N - volume, volume - open/N and their maximum, in the one function
-that the lower estimate shares (``_corner_values``).  The reported box is
-the lexicographically smallest maximizer; it is closed-sided when its
-closed surplus is at least its open deficiency.
+the same order as a direct evaluation (``box_volume``, ``count_closed``
+and ``count_open``): volume ((1*a)*b)*c, then closed/N - volume,
+volume - open/N and their maximum.  Only the scorer (``_CornerScorer``)
+turns grid indices into counts and volumes, for the search and the lower
+estimate alike.  The reported box is the lexicographically smallest
+maximizer; it is closed-sided when its closed surplus is at least its
+open deficiency.
 
 In every dimension the kernel is a branch and bound over boxes of grid
 indices (Thiemard, "An algorithm to compute bounds for the star
@@ -43,9 +45,9 @@ The frontier is a stack, searched depth first a chunk at a time: the last
 max(1, B / 2^d) boxes pushed are split and their children bounded, where
 B is the scorer's block of corners.  For bitsets B is sized so that the
 words their counts read fill 64 KiB: 2048 at N = 128, so a chunk is 256
-boxes at d = 3.  Plane counts read only ``_PLANE_WORDS`` words a row, so a
-chunk's cost is mostly its fixed numpy calls, about 45, and B is sized by
-memory instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
+boxes at d = 3.  Plane counts read only four words a row, so a chunk's
+cost is mostly its fixed numpy calls, about 45, and B is sized by memory
+instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
 1024 at d = 1, is the largest power of two whose workspace keeps the
 paper's call (d = 2, N = 3200) under 1 MiB; there 1024 ran about 1.3 times
 slower and 4096 took the call to 1.3 MiB (2-vCPU host).  The kept
@@ -70,9 +72,10 @@ a radix sort, and int32 keys stay on an axis of 2^16 or more grid values.
 
 A chunk works in one workspace allocated per call for C children, so
 that it holds a block of the points' own corners or the children of one
-box: the scorer's rows to count, their counts and the count's scratch
-(see ``_CornerScorer``), and the search's copies of the chunk's boxes,
-all their children, their volumes, gaps and masks (see ``_BoxSearch``).
+box: the scorer's rows to count, their counts, the count's scratch and
+the volumes and their factors (see ``_CornerScorer``), and the search's
+copies of the chunk's boxes, all their children and masks (see
+``_BoxSearch``).
 Every per-chunk operation writes into views of it with ``out=``.  It
 takes 17 d + 43 bytes per child plus the count's scratch: 56 bytes per
 child at d = 2 (266 KiB in all), and for d >= 3 16 bytes per child and
@@ -190,38 +193,40 @@ def excess(ps: PointSet, box: AnchoredBox) -> float:
     return count_open(ps, box) - ps.n_points * box_volume(box)
 
 
-def _corner_values(closed: np.ndarray, opened: np.ndarray, vols: np.ndarray) -> np.ndarray:
+def _corner_values(closed: np.ndarray, opened: np.ndarray,
+                   vols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner values from the closed and open shares (count / N) and the
     volumes: closed - vol into ``closed``, vol - open into ``opened``, and
-    their maximum into and returned as ``vols``."""
+    their maximum into ``vols``; returns the values, the closed surpluses
+    and the open deficiencies."""
     np.subtract(closed, vols, out=closed)
     np.subtract(vols, opened, out=opened)
-    return np.maximum(closed, opened, out=vols)
+    return np.maximum(closed, opened, out=vols), closed, opened
 
 
 def _grids(coords: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per axis, the distinct coordinates plus 1 (0 enters only as a
-    coordinate); and per point and axis, the grid index of its coordinate."""
-    grids = []
+    """Per axis, the grid of the distinct coordinates plus 1 (0 enters only
+    as a coordinate) shifted by one, its first value repeated in front; and
+    per point and axis, the grid index of its coordinate."""
+    shifted = []
     ranks = np.empty(coords.shape, dtype=np.int32)
     for j, column in enumerate(coords.T):
         values, ranks[:, j] = np.unique(column, return_inverse=True)
-        grids.append(np.append(values, 1.0))
-    return grids, ranks
+        shifted.append(np.concatenate((values[:1], values, [1.0])))
+    return shifted, ranks
 
 
 def _exact(ps: PointSet, budget: int | None) -> DiscrepancyCertificate:
     """The exact kernel behind both public entry points; ``None`` is no budget."""
-    grids, ranks = _grids(ps.coords)
+    shifted, ranks = _grids(ps.coords)
     required = 1
-    for g in grids:
-        required *= len(g)
+    for s in shifted:
+        required *= len(s) - 1
     if budget is not None and required > budget:
         raise BudgetExceeded(required, budget)
-    search = _BoxSearch(grids, ranks)
-    del grids  # the search keeps its own copies, shifted by one
+    search = _BoxSearch(shifted, ranks)
     search.run()
-    return DiscrepancyCertificate(search.value, AnchoredBox(np.array(search.upper)),
+    return DiscrepancyCertificate(search.value, search.scorer.box(search.corner),
                                   search.closed)
 
 
@@ -257,10 +262,6 @@ _CHUNK_POINTS = 4096
 #: least one corner.
 _ESTIMATE_WORDS = 1 << 13
 
-#: Words a plane count reads per row and chunk: two of ``cum``, one prefix
-#: word and its mask.
-_PLANE_WORDS = 4
-
 #: Corners per block of plane counts (d <= 2), sized by memory (see the
 #: module).
 _PLANE_BLOCK = 1 << 11
@@ -295,14 +296,19 @@ def _grid_order(ranks: np.ndarray, size: int) -> np.ndarray:
 
 
 class _CornerScorer:
-    """Scores blocks of candidate corners and keeps the first strict maximum.
+    """Counts, volumes and values of corners and boxes given by their grid
+    indices: the one place that turns grid indices into numbers.
 
-    A corner's value is the exact kernel's, from ``_corner_values``.  As
-    open <= closed makes open/N - vol at most closed/N - vol in binary64,
-    it is the larger of closed/N - vol and |open/N - vol|, each a valid
-    lower bound for the star discrepancy.  The volume is the left-to-right
-    product of the corner's components, so every value is the binary64
-    result a corner-by-corner evaluation gives.
+    ``values`` gives a block of corners' values, the exact kernel's from
+    ``_corner_values``.  As open <= closed makes open/N - vol at most
+    closed/N - vol in binary64, a value is the larger of closed/N - vol
+    and |open/N - vol|, each a valid lower bound for the star discrepancy.
+    ``volumes`` is the left-to-right product of a corner's grid values, so
+    every value is the binary64 result a corner-by-corner evaluation gives
+    (``box_volume``, ``count_closed``, ``count_open``).  For a box [lo, he)
+    it gives vol(lo) and, from ``shifted``, each axis's grid with its first
+    value repeated in front, vol(hi) read at he.  ``box`` turns a corner's
+    grid indices into its box.
 
     The counts are exact integers.  On axis j the points a corner holds are
     those whose grid index on that axis is below a row t: row k for the
@@ -331,30 +337,34 @@ class _CornerScorer:
     With i = umap[a] and q = t >> 6, the count below the rows (a, b) is
     cum[i, q] plus the popcount of word[q, cum[i, q + 1] - cum[i, q]]
     masked to its low t & 63 bits.  The planes take about 130 bytes per
-    point and a row reads ``_PLANE_WORDS`` words per chunk.  At d = 1 the
+    point, and a row reads four words per chunk: two of ``cum``, one
+    prefix word and its mask.  At d = 1 the
     count is vmap[b], with one chunk of all the points.
 
     The workspace is allocated once, for ``size`` corners (at least a
     block): ``rows``, the open and closed rows to count (int32, 2 x d x
-    size), ``counts``, their counts (float64, 2 x size), and the count's
-    own scratch.  Plane counts at d = 2 use two int32, two uint16 and two
-    uint64 arrays of 2 x size; bitset counts one intp array of 2 x size and
-    a chunk's AND rows and popcounts, two uint64 and two uint8 arrays of
-    2 x size x (words per table row), 2 x 64 KiB and 2 x 8 KiB for a
-    block.  The rows counted lie in [0, top + 1] and every rank map has
+    size), ``counts``, their counts (float64, 2 x size), ``vols``, vol(lo)
+    and vol(hi) (float64, 2 x size), ``gaps``, the factors of a volume
+    (float64, size), and the count's own scratch.  Plane counts at d = 2
+    use two int32, two uint16 and two uint64 arrays of 2 x size; bitset
+    counts one intp array of 2 x size and a chunk's AND rows and popcounts,
+    two uint64 and two uint8 arrays of 2 x size x (words per table row),
+    2 x 64 KiB and 2 x 8 KiB for a block.  The rows counted lie in [0, top + 1] and every rank map has
     top + 2 rows (asserted as it is built), so every take is in range and
     names a mode only to write to ``out`` without numpy's buffer.
     """
 
-    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray, size: int = 1):
+    def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray, size: int = 1):
         self.n, d = ranks.shape
-        self.grids = grids
+        #: Per axis, the grid shifted by one, so that vol(hi) reads it at he.
+        self.shifted = shifted
+        self.grids = [s[1:] for s in shifted]
         #: Per point and axis, the grid index of its coordinate.
         self.ranks = ranks
-        self.top = np.array([len(g) - 1 for g in grids], dtype=np.int32)
+        self.top = np.array([len(g) - 1 for g in self.grids], dtype=np.int32)
         self.planes = d <= 2
         if d == 2:
-            order = _grid_order(self.ranks[:, -1], len(grids[-1]))
+            order = _grid_order(self.ranks[:, -1], len(self.grids[-1]))
             self.chunks = [self._plane(self.ranks[order[s:s + _CHUNK_POINTS]])
                            for s in range(0, self.n, _CHUNK_POINTS)]
         elif d == 1:
@@ -371,6 +381,8 @@ class _CornerScorer:
         pair = 2 * self.size
         self.rows = np.empty(d * pair, dtype=np.int32)
         self.counts = np.empty(pair)
+        self.vols = np.empty(pair)
+        self.gaps = np.empty(self.size)
         if d == 2:
             self.ints = np.empty((2, pair), dtype=np.int32)
             self.halves = np.empty((2, pair), dtype=np.uint16)
@@ -380,8 +392,6 @@ class _CornerScorer:
             words = pair * self.chunks[0][0][0].shape[1]
             self.hits = np.empty((2, words), dtype=np.uint64)
             self.pops = np.empty((2, words), dtype=np.uint8)
-        self.value = -np.inf
-        self.box: AnchoredBox | None = None
 
     def _rank_maps(self, ranks: np.ndarray) -> list[np.ndarray]:
         """Per axis, the number of ``ranks``' points below each row, and the
@@ -437,12 +447,6 @@ class _CornerScorer:
         np.bitwise_or.accumulate(word, axis=1, out=word)
         return ((maps[0] * stride).astype(np.int32), maps[1].astype(np.int32), cum.ravel(),
                 word.ravel())
-
-    def rows_of(self, corners: np.ndarray, side: str) -> np.ndarray:
-        """Per corner and axis, the open (``side="left"``) or closed
-        (``"right"``) row of arbitrary corner values."""
-        return np.column_stack([np.searchsorted(g[:-1], corners[:, j], side)
-                                for j, g in enumerate(self.grids)])
 
     def block_rows(self, k: int) -> np.ndarray:
         """The workspace's open and closed rows of ``k`` corners, (2, d, k)."""
@@ -513,22 +517,32 @@ class _CornerScorer:
             else:
                 np.add(below, above, out=counts)
 
-    def offer(self, corners: np.ndarray, open_rows: np.ndarray, closed_rows: np.ndarray,
-              boxes: Sequence[AnchoredBox] | None = None) -> None:
-        """Score up to ``self.block`` corners given their open and closed
-        rows; ``boxes`` are their own boxes."""
-        rows = self.block_rows(corners.shape[0])
-        np.copyto(rows[0], open_rows.T)
-        np.copyto(rows[1], closed_rows.T)
+    def volumes(self, ends: np.ndarray) -> np.ndarray:
+        """vol(lo) of the boxes [lo, he) of ``ends`` (e, d, k), and vol(hi)
+        too when e = 2, as an (e, k) view of ``vols``; ``gaps`` holds the
+        factors."""
+        e, _, k = ends.shape
+        vols = self.vols[:e * k].reshape(e, k)
+        part = self.gaps[:k]
+        for vol, end, grids in zip(vols, ends, (self.grids, self.shifted)):
+            for j, grid in enumerate(grids):
+                grid.take(end[j], out=part if j else vol, mode="wrap")
+                if j:
+                    vol *= part
+        return vols
+
+    def values(self, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``corners`` (grid indices, d x k), their closed
+        surpluses and their open deficiencies, as views of the workspace."""
+        rows = self.block_rows(corners.shape[1])
+        np.copyto(rows[0], corners)
+        np.add(corners, 1, out=rows[1])
         opened, closed = self.shares(rows)
-        vols = corners[:, 0].copy()
-        for j in range(1, corners.shape[1]):
-            vols *= corners[:, j]
-        cand = _corner_values(closed, opened, vols)
-        i = int(cand.argmax())
-        if cand[i] > self.value:
-            self.value = float(cand[i])
-            self.box = boxes[i] if boxes is not None else AnchoredBox(corners[i])
+        return _corner_values(closed, opened, self.volumes(rows[:1])[0])
+
+    def box(self, corner: Sequence[int]) -> AnchoredBox:
+        """The box of a corner given by its grid indices."""
+        return AnchoredBox(np.array([g[k] for g, k in zip(self.grids, corner)]))
 
 
 @functools.cache
@@ -555,21 +569,19 @@ class _BoxSearch:
 
     The scorer's workspace holds C = max(B, 2^d) corners, a block or one
     box's children, and so a chunk's per << d children: the kept children
-    are its rows to count, and their shares its counts.  The search's own
-    arrays, sized for the chunk's boxes and C children, are ``ends``, the
-    boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
-    children before the empty ones drop and then the kept ones' extents
-    (int32, 2 x d x C), ``vols``, vol(lo) and vol(hi) (float64, 2 x C),
-    ``gaps``, the factors of a volume, then the attained sides and then the
-    bound (float64, C), and boolean masks.
+    are its rows to count, their shares its counts, their vol(lo) and
+    vol(hi) its volumes, and once those are taken its ``gaps`` hold the
+    attained sides and then the bound.  The search's own arrays, sized for
+    the chunk's boxes and C children, are ``ends``, the boxes' lo, he and
+    mid (int32, 3 x d x per), ``children``, all their children before the
+    empty ones drop and then the kept ones' extents (int32, 2 x d x C),
+    and boolean masks.
     """
 
-    def __init__(self, grids: list[np.ndarray], ranks: np.ndarray):
-        #: Per axis, the grid shifted by one, so that vol(hi) reads it at he.
-        self.shifted = [np.concatenate((g[:1], g)) for g in grids]
-        self.grids = [s[1:] for s in self.shifted]
-        d = len(grids)
-        self.scorer = _CornerScorer(self.grids, ranks, 1 << d)
+    def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
+        d = len(shifted)
+        self.scorer = _CornerScorer(shifted, ranks, 1 << d)
+        self.grids = self.scorer.grids
         self.n = ranks.shape[0]
         #: Boxes split per chunk: their children fill a block, or are one box's.
         self.per = max(1, self.scorer.block >> d)
@@ -577,8 +589,6 @@ class _BoxSearch:
         size = self.scorer.size
         self.ends = np.empty(3 * d * self.per, dtype=np.int32)
         self.children = np.empty(2 * d * size, dtype=np.int32)
-        self.vols = np.empty(2 * size)
-        self.gaps = np.empty(size)
         self.axis_masks = np.empty(d * size, dtype=bool)
         self.masks = np.empty((3, size), dtype=bool)
         self.value = -np.inf
@@ -588,20 +598,12 @@ class _BoxSearch:
         self.boxes_bounded = 0
         self.corners_scored = 0
 
-    @property
-    def upper(self) -> list[float]:
-        return [float(g[k]) for g, k in zip(self.grids, self.corner)]
-
     def run(self) -> None:
         """The points' own corners, then the frontier from the whole grid."""
         scorer = self.scorer
         for s in range(0, self.n, scorer.block):
             corners = scorer.ranks[s:s + scorer.block].T
-            rows = scorer.block_rows(corners.shape[1])
-            np.copyto(rows[0], corners)
-            np.add(corners, 1, out=rows[1])
-            opened, closed = scorer.shares(rows)
-            self._score(corners, closed, opened, self._volumes(rows)[0])
+            self._score(corners, *scorer.values(corners))
         whole = np.zeros((2, len(self.grids), 1), dtype=np.int32)
         whole[1, :, 0] = scorer.top + 1
         stack = [(whole, np.array([np.inf]))]
@@ -646,28 +648,16 @@ class _BoxSearch:
         children.take(i, axis=2, out=rows, mode="wrap")
         return rows
 
-    def _volumes(self, rows: np.ndarray) -> np.ndarray:
-        """vol(lo) and vol(hi) of the boxes of ``rows`` (2, d, k), as a
-        (2, k) view of ``vols``; ``gaps`` holds the factors."""
-        k = rows.shape[2]
-        vols, = _pairs(k, self.vols)
-        part = self.gaps[:k]
-        for vol, end, grids in zip(vols, rows, (self.grids, self.shifted)):
-            for j, grid in enumerate(grids):
-                grid.take(end[j], out=part if j else vol, mode="wrap")
-                if j:
-                    vol *= part
-        return vols
-
     def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Bounds the boxes and raises the floor; scores the single corners
         that reach it and returns the other boxes that do, sorted ascending
         by bound (see ``_ascending``)."""
         d, k = boxes.shape[1:]
         opened, closed = self.scorer.shares(boxes)
-        vol_lo, vol_hi = self._volumes(boxes)
-        # Attained: the closed side at hi and the open side at lo.
-        gap = self.gaps[:k]
+        vol_lo, vol_hi = self.scorer.volumes(boxes)
+        # Attained: the closed side at hi and the open side at lo, in the
+        # scorer's ``gaps`` once the volumes' factors are spent.
+        gap = self.scorer.gaps[:k]
         attained = np.subtract(closed, vol_hi, out=gap).max()
         attained = max(attained, np.subtract(vol_lo, opened, out=gap).max())
         self.floor = max(self.floor, float(attained))
@@ -690,24 +680,23 @@ class _BoxSearch:
             i = inner[single]
             inner = inner[~single]
             if i.size:
-                self._score(boxes[0].take(i, axis=1), closed.take(i), opened.take(i),
-                            vol_lo.take(i))
+                self._score(boxes[0].take(i, axis=1),
+                            *_corner_values(closed.take(i), opened.take(i), vol_lo.take(i)))
         if not inner.size:
             return None
         order, bound = _ascending(bound.take(inner))
         return boxes.take(inner.take(order), axis=2), bound
 
-    def _score(self, corners: np.ndarray, closed: np.ndarray, opened: np.ndarray,
-               vols: np.ndarray) -> None:
-        """Values the corners (grid indices per column) from their closed
-        and open shares and volumes, all three overwritten; keeps the
-        lexicographically smallest of the largest."""
-        cand = _corner_values(closed, opened, vols)
-        top = float(cand.max())
+    def _score(self, corners: np.ndarray, values: np.ndarray, closed: np.ndarray,
+               opened: np.ndarray) -> None:
+        """Keeps the lexicographically smallest of the corners (grid indices
+        per column) of the largest value, given their values, closed
+        surpluses and open deficiencies."""
+        top = float(values.max())
         self.floor = max(self.floor, top)
         if top < self.value:
             return
-        ties = (cand == top).nonzero()[0]
+        ties = (values == top).nonzero()[0]
         i = ties[np.lexsort(corners[::-1, ties])[0]]
         corner = corners[:, i].tolist()
         if top > self.value or corner < self.corner:
@@ -734,50 +723,55 @@ def star_discrepancy_lower_estimate(
     as passed).  For a fixed seed the random corners form a prefix stream,
     so a larger budget never lowers the result.
 
-    The counts come from count tables over the points' grid indices (see
-    ``_CornerScorer``), built once per call: for d >= 3 per-axis
-    cumulative bitsets of about d * N * min(N, 4096) / 8 bytes, for d <= 2
-    plane counts of about 130 bytes per point, rank maps of at most
-    8 * d * (N + 2) bytes per chunk of 4096 points, and the points' grid
-    indices.  The candidates are scored in blocks of the scorer's B
-    corners, in its workspace of 8 d + 16 bytes per corner and the count's
-    scratch (see the module): for d >= 3 the block's open and closed rows
-    of one chunk fill 64 KiB (at least one corner), for d <= 2 a block is
-    2048 corners.  The random corners are drawn one block at a time
-    (``Stream.randbelow_block``), so memory does not grow with the budget.
+    The extra boxes, which need not lie on the grid, are valued one at a
+    time by ``count_closed``, ``count_open`` and ``box_volume``.  The
+    points' corners and the random corners are grid indices, valued by
+    the scorer (see ``_CornerScorer``) from count tables built once per
+    call: for d >= 3 per-axis cumulative bitsets of about
+    d * N * min(N, 4096) / 8 bytes, for d <= 2 plane counts of about 130
+    bytes per point, rank maps of at most 8 * d * (N + 2) bytes per chunk
+    of 4096 points, the shifted grids and the points' grid indices.  They
+    are scored in blocks of the scorer's B corners, in its workspace of
+    8 d + 40 bytes per corner and the count's scratch (see the module):
+    for d >= 3 the block's open and closed rows of one chunk fill 64 KiB
+    (at least one corner), for d <= 2 a block is 2048 corners.  The random
+    corners are drawn one block at a time (``Stream.randbelow_block``), so
+    memory does not grow with the budget; the winning corner's box is
+    built once, at the end.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    extra = list(extra_boxes)
-    for box in extra:
-        _require_same_dim(ps, box)
-    coords = ps.coords
-    grids, ranks = _grids(coords)
-    scorer = _CornerScorer(grids, ranks)
+    value, best, corner = -np.inf, None, None
+    n = ps.n_points
+    for box in extra_boxes:
+        vol = box_volume(box)
+        cand = max(count_closed(ps, box) / n - vol, vol - count_open(ps, box) / n)
+        if cand > value:
+            value, best = cand, box
+    scorer = _CornerScorer(*_grids(ps.coords))
     step = scorer.block
-    for i in range(0, len(extra), step):
-        boxes = extra[i:i + step]
-        corners = np.array([box.upper for box in boxes])
-        scorer.offer(corners, scorer.rows_of(corners, "left"),
-                     scorer.rows_of(corners, "right"), boxes)
-    for i in range(0, ps.n_points, step):
-        ranks = scorer.ranks[i:i + step]
-        scorer.offer(coords[i:i + step], ranks, ranks + 1)
-
-    sizes = np.array([len(g) for g in grids])
+    sizes = scorer.top + 1
     largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
-    for done in range(0, budget, step):
-        rows = min(step, budget - done)
-        picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
-        if sizes.min() < largest:  # else the map is the identity
-            picks *= sizes
-            picks //= largest
-        scorer.offer(np.column_stack([g[picks[:, j]] for j, g in enumerate(grids)]),
-                     picks, picks + 1)
 
-    assert scorer.box is not None
-    return scorer.value, scorer.box
+    def blocks():
+        """The points' corners, then the random ones, as grid indices."""
+        for i in range(0, n, step):
+            yield scorer.ranks[i:i + step].T
+        for done in range(0, budget, step):
+            rows = min(step, budget - done)
+            picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
+            if sizes.min() < largest:  # else the map is the identity
+                picks *= sizes
+                picks //= largest
+            yield picks.T
+
+    for corners in blocks():
+        cand = scorer.values(corners)[0]
+        i = int(cand.argmax())
+        if cand[i] > value:
+            value, corner = float(cand[i]), corners[:, i].tolist()
+    return value, best if corner is None else scorer.box(corner)
 
 
 METHODS = ("exact", "exact2d", "estimate")

@@ -64,9 +64,11 @@ class DiscreteDistribution:
         arr = np.array(self.probs, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("probs must be a non-empty vector")
-        if np.any(arr < -MASS_TOL):
-            raise ValueError("negative probability mass")
-        if abs(float(arr.sum()) - 1.0) > MASS_TOL:
+        # Written as `not (...)` so that NaN, which fails every comparison,
+        # is rejected too.
+        if not np.all(arr >= -MASS_TOL):
+            raise ValueError("negative or NaN probability mass")
+        if not abs(float(arr.sum()) - 1.0) <= MASS_TOL:
             raise ValueError(f"mass sums to {arr.sum()!r}, not 1 within {MASS_TOL}")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -291,8 +293,8 @@ def hoeffding_bound(k: int, t: float) -> float:
 
 def check_theorem5_binomial(k: int, q: float, t: float) -> CheckReport:
     """Exact iid-Bernoulli lower tail P(sum < kq - tk) against exp(-2 t^2 k)."""
-    if k < 1 or not 0.0 < q < 1.0 or t <= 0.0:
-        raise DomainError(f"need k >= 1, q in (0,1), t > 0, got k={k}, q={q}, t={t}")
+    if k < 1 or not 0.0 < q < 1.0 or not 0.0 < t < math.inf:
+        raise DomainError(f"need k >= 1, q in (0,1), finite t > 0, got k={k}, q={q}, t={t}")
     (a, b), (c, e) = q.as_integer_ratio(), t.as_integer_ratio()
     # Strict: sum < k (q - t) = k (a e - c b) / (b e), whose ceiling is -(-x // y).
     tail = binom_cdf(k, q, -(-k * (a * e - c * b) // (b * e)) - 1)
@@ -330,7 +332,7 @@ class ConditionalBernoulliTree:
                 raise ValueError(
                     f"level {j} must have {2 ** (j - 1)} nodes, got shape {arr.shape}"
                 )
-            if np.any((arr < 0.0) | (arr > 1.0)):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN too
                 raise ValueError(f"level {j} has probabilities outside [0, 1]")
             self.levels.append(arr)
         self.q_floor = q_floor
@@ -341,8 +343,9 @@ class ConditionalBernoulliTree:
 
     def verify_floor(self) -> None:
         for j, level in enumerate(self.levels, start=1):
-            if np.any(level < self.q_floor):
-                h = int(np.argmax(level < self.q_floor))
+            below = ~(level >= self.q_floor)  # NaN too
+            if below.any():
+                h = int(np.argmax(below))
                 raise InvariantViolated(
                     f"node (level {j}, history {h}) = {level[h]} below floor {self.q_floor}"
                 )

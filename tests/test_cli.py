@@ -259,6 +259,14 @@ def test_prob_theorem5(capsys):
     assert run(["prob", "theorem5", "--k", "50", "--q", "0.5", "--t", "0.2"]) == 0
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_prob_theorem5_non_finite_t_exit_2(capsys, t):
+    # A usage error (2), not a failed check (1) or a traceback.
+    assert run(["prob", "theorem5", "--k", "16", "--q", "0.5", "--t", t]) == 2
+    assert capsys.readouterr().err == (
+        f"error: need k >= 1, q in (0,1), finite t > 0, got k=16, q=0.5, t={t}\n")
+
+
 def test_prob_lemma6(capsys):
     assert run(["prob", "lemma6", "--depth", "6", "--q", "0.0125",
                 "--trees", "5", "--seed", "3"]) == 0

@@ -440,10 +440,9 @@ class _RecordingSearch(discrepancy._BoxSearch):
         super().__init__(*args)
         self.scored = []
 
-    def _score(self, corners, closed, opened, vols):
-        values = discrepancy._corner_values(closed.copy(), opened.copy(), vols.copy())
+    def _score(self, corners, values, closed, opened):
         self.scored += zip(map(tuple, corners.T.tolist()), values.tolist())
-        super()._score(corners, closed, opened, vols)
+        super()._score(corners, values, closed, opened)
 
 
 def radical_inverse(i, base):
@@ -759,6 +758,16 @@ class TestLowerEstimate:
         est, b = star_discrepancy_lower_estimate(pset([0.0]), budget=1, seed=0)
         assert est == 1.0
         assert b.upper.tolist() == [0.0]
+
+    def test_point_box_is_built_from_grid_values(self):
+        # -0.0 and 0.0 are one grid value.  The winning point corner is
+        # (-0.0, 0.5), and its box takes the grid's zero, as the exact
+        # kernel's does.
+        ps = PointSet(np.array([[0.0, 0.25], [-0.0, 0.5]]))
+        est, b = star_discrepancy_lower_estimate(ps, budget=1, seed=0)
+        exact = star_discrepancy_exact(ps)
+        assert est == exact.value == 1.0
+        assert b.upper.tobytes() == exact.argmax_box.upper.tobytes()
 
     def test_monotone_in_budget(self):
         ps = uniform_sample(12, 2, seed=31)

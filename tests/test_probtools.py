@@ -141,6 +141,13 @@ class TestDistributionsAndTV:
         assert d.pmf(2) == 0.25 and d.pmf(1) == 0.0
         assert d.cdf(1) == 0.0 and d.cdf(3) == 1.0
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.nan]])
+    def test_distribution_rejects_nan_mass(self, probs):
+        # NaN fails every comparison, so a check written as "v < 0" or
+        # "|sum - 1| > tol" would let it through.
+        with pytest.raises(ValueError):
+            DiscreteDistribution(0, np.array(probs))
+
     @pytest.mark.parametrize("n,p", [(200, 0.0125), (50, 0.3), (20, 0.5), (1000, 0.004),
                                      (0, 0.3), (7, 0.0), (7, 1.0)])
     def test_binomial_cdf_is_binom_cdf(self, n, p):
@@ -306,6 +313,11 @@ class TestTheorem5:
         with pytest.raises(DomainError):
             check_theorem5_binomial(5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_t_must_be_finite(self, t):
+        with pytest.raises(DomainError, match="finite t > 0"):
+            check_theorem5_binomial(16, 0.5, t)
+
 
 class TestTree:
     def test_independent_tree_equals_binomial(self):
@@ -338,6 +350,11 @@ class TestTree:
         with pytest.raises(ValueError):
             ConditionalBernoulliTree([np.array([0.5, 0.5])], 0.25)
 
+    @pytest.mark.parametrize("node", [math.nan, -0.25, 1.5])
+    def test_node_outside_unit_interval_rejected(self, node):
+        with pytest.raises(ValueError, match="outside"):
+            ConditionalBernoulliTree([np.array([0.5]), np.array([0.5, node])], 0.25)
+
     def test_hand_computed_dependent_tree(self):
         # eta1 ~ B(0.5); eta2 | eta1=0 ~ B(0.5), eta2 | eta1=1 ~ B(1.0).
         tree = ConditionalBernoulliTree(
@@ -367,6 +384,14 @@ class TestLemma6:
         tree.levels[3] = tree.levels[3].copy()
         tree.levels[3][2] = q / 2
         with pytest.raises(InvariantViolated):
+            check_lemma6(tree)
+
+    def test_nan_node_set_after_construction_rejected(self):
+        # A NaN node is not at or above the floor; it must not be skipped
+        # by the margins and reported as a pass.
+        tree = ConditionalBernoulliTree.independent(2, 0.5)
+        tree.levels[1] = np.array([0.5, math.nan])
+        with pytest.raises(InvariantViolated, match="nan"):
             check_lemma6(tree)
 
     def test_random_trees_pass(self):
