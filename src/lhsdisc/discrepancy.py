@@ -14,10 +14,11 @@ The exact kernel values a corner with the same binary64 operations in
 the same order as a direct evaluation (``box_volume``, ``count_closed``
 and ``count_open``): volume ((1*a)*b)*c, then closed/N - volume,
 volume - open/N and their maximum.  Only the scorer (``_CornerScorer``)
-turns grid indices into counts and volumes, for the search and the lower
-estimate alike.  The reported box is the lexicographically smallest
-maximizer; it is closed-sided when its closed surplus is at least its
-open deficiency.
+turns grid indices into counts and volumes.  The reported box is the
+lexicographically smallest maximizer; it is closed-sided when its closed
+surplus is at least its open deficiency.  The lower estimate scores its
+corners through the search without opening the frontier, so the same rule
+picks its box among the corners it examines.
 
 In every dimension the kernel is a branch and bound over boxes of grid
 indices (Thiemard, "An algorithm to compute bounds for the star
@@ -35,9 +36,9 @@ the points' own corners first.  A box whose bound is below the floor holds
 no maximizer and is dropped; one whose bound equals it is kept, as a tie
 may lie at a smaller corner.  From the whole grid, a box is split at
 mid = (lo + he + 1) >> 1 on every axis into at most 2^d children, [lo, mid)
-or [mid, he) per axis, each bounded with two exact counts from the lower
-estimate's count tables (``_CornerScorer``: per-axis bitsets for d >= 3,
-plane counts for d <= 2).  A single corner's bound is its value; of equal
+or [mid, he) per axis, each bounded with two exact counts from the
+scorer's count tables (per-axis bitsets for d >= 3, plane counts for
+d <= 2).  A single corner's bound is its value; of equal
 values the lexicographically smallest corner (in grid indices, axis by
 axis) is kept, so the result is the full scan's.
 
@@ -341,20 +342,21 @@ class _CornerScorer:
     prefix word and its mask.  At d = 1 the
     count is vmap[b], with one chunk of all the points.
 
-    The workspace is allocated once, for ``size`` corners (at least a
-    block): ``rows``, the open and closed rows to count (int32, 2 x d x
-    size), ``counts``, their counts (float64, 2 x size), ``vols``, vol(lo)
-    and vol(hi) (float64, 2 x size), ``gaps``, the factors of a volume
-    (float64, size), and the count's own scratch.  Plane counts at d = 2
-    use two int32, two uint16 and two uint64 arrays of 2 x size; bitset
-    counts one intp array of 2 x size and a chunk's AND rows and popcounts,
-    two uint64 and two uint8 arrays of 2 x size x (words per table row),
-    2 x 64 KiB and 2 x 8 KiB for a block.  The rows counted lie in [0, top + 1] and every rank map has
+    The workspace is allocated once, for ``size`` = C = max(B, 2^d)
+    corners, a block (B, ``block``) or one box's children: ``rows``, the
+    open and closed rows to count (int32, 2 x d x C), ``counts``, their
+    counts (float64, 2 x C), ``vols``, vol(lo) and vol(hi) (float64,
+    2 x C), ``gaps``, the factors of a volume (float64, C), and the
+    count's own scratch.  Plane counts at d = 2 use two int32, two uint16
+    and two uint64 arrays of 2 x C; bitset counts one intp array of 2 x C
+    and a chunk's AND rows and popcounts, two uint64 and two uint8 arrays
+    of 2 x C x (words per table row), 2 x 64 KiB and 2 x 8 KiB when
+    C = B.  The rows counted lie in [0, top + 1] and every rank map has
     top + 2 rows (asserted as it is built), so every take is in range and
     names a mode only to write to ``out`` without numpy's buffer.
     """
 
-    def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray, size: int = 1):
+    def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
         self.n, d = ranks.shape
         #: Per axis, the grid shifted by one, so that vol(hi) reads it at he.
         self.shifted = shifted
@@ -376,8 +378,8 @@ class _CornerScorer:
         #: Corners per block (see the module).
         self.block = (_PLANE_BLOCK if self.planes else
                       max(1, _ESTIMATE_WORDS // (2 * self.chunks[0][0][0].shape[1])))
-        #: Corners the workspace holds.
-        self.size = max(self.block, size)
+        #: Corners the workspace holds: a block, or one box's children.
+        self.size = max(self.block, 1 << d)
         pair = 2 * self.size
         self.rows = np.empty(d * pair, dtype=np.int32)
         self.counts = np.empty(pair)
@@ -559,13 +561,16 @@ def _child_rows(d: int) -> np.ndarray:
 
 class _BoxSearch:
     """The exact kernel: a branch and bound over boxes of grid indices (see
-    the module).
+    the module).  ``seed`` scores given corners (grid indices) by
+    ``_score``'s rule without opening the frontier; ``run`` is that seeding
+    pass over the points' own corners, then the frontier from the whole
+    grid.  The lower estimate only seeds a search.
 
     A chunk of boxes is an int32 array (end, axis, box): end 0 is lo and
     end 1 is he = hi + 1, so a box is [lo, he) on each axis and its open
     and closed rows are its two ends.  ``boxes_bounded`` counts the boxes
     bounded and ``corners_scored`` those that are single corners, whose
-    bound is their value; neither counts the points' own corners.
+    bound is their value; neither counts the corners given to ``seed``.
 
     The scorer's workspace holds C = max(B, 2^d) corners, a block or one
     box's children, and so a chunk's per << d children: the kept children
@@ -580,12 +585,10 @@ class _BoxSearch:
 
     def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
         d = len(shifted)
-        self.scorer = _CornerScorer(shifted, ranks, 1 << d)
+        self.scorer = _CornerScorer(shifted, ranks)
         self.grids = self.scorer.grids
-        self.n = ranks.shape[0]
         #: Boxes split per chunk: their children fill a block, or are one box's.
         self.per = max(1, self.scorer.block >> d)
-        self.child_rows = _child_rows(d)
         size = self.scorer.size
         self.ends = np.empty(3 * d * self.per, dtype=np.int32)
         self.children = np.empty(2 * d * size, dtype=np.int32)
@@ -598,14 +601,18 @@ class _BoxSearch:
         self.boxes_bounded = 0
         self.corners_scored = 0
 
+    def seed(self, corners: np.ndarray) -> None:
+        """Scores ``corners`` (grid indices, d x k) a block at a time."""
+        block = self.scorer.block
+        for s in range(0, corners.shape[1], block):
+            part = corners[:, s:s + block]
+            self._score(part, *self.scorer.values(part))
+
     def run(self) -> None:
-        """The points' own corners, then the frontier from the whole grid."""
-        scorer = self.scorer
-        for s in range(0, self.n, scorer.block):
-            corners = scorer.ranks[s:s + scorer.block].T
-            self._score(corners, *scorer.values(corners))
+        """The seeding pass over the points' own corners, then the frontier."""
+        self.seed(self.scorer.ranks.T)
         whole = np.zeros((2, len(self.grids), 1), dtype=np.int32)
-        whole[1, :, 0] = scorer.top + 1
+        whole[1, :, 0] = self.scorer.top + 1
         stack = [(whole, np.array([np.inf]))]
         per = self.per
         while stack:
@@ -637,7 +644,7 @@ class _BoxSearch:
         mid += 1
         mid >>= 1
         children = self.children[:2 * d * m << d].reshape(-1, m)
-        ends.reshape(3 * d, m).take(self.child_rows, axis=0, out=children, mode="wrap")
+        ends.reshape(3 * d, m).take(_child_rows(d), axis=0, out=children, mode="wrap")
         children = children.reshape(2, d, m << d)
         nonempty = self.axis_masks[:d * m << d].reshape(d, -1)
         np.less(children[0], children[1], out=nonempty)
@@ -717,61 +724,46 @@ def star_discrepancy_lower_estimate(
     then ``budget`` random corners drawn from the critical grid: with L the
     largest grid size, one ``randbelow(L)`` per axis and corner in
     row-major order, mapped to index ``pick * len(g) // L`` of axis grid
-    g (the pick itself when every axis has L values).  A box replaces
-    the best one only when its value is strictly larger, so the first
-    maximizer in that order is returned (a winning extra box is returned
-    as passed).  For a fixed seed the random corners form a prefix stream,
-    so a larger budget never lowers the result.
+    g (the pick itself when every axis has L values).
 
-    The extra boxes, which need not lie on the grid, are valued one at a
-    time by ``count_closed``, ``count_open`` and ``box_volume``.  The
-    points' corners and the random corners are grid indices, valued by
-    the scorer (see ``_CornerScorer``) from count tables built once per
-    call: for d >= 3 per-axis cumulative bitsets of about
-    d * N * min(N, 4096) / 8 bytes, for d <= 2 plane counts of about 130
-    bytes per point, rank maps of at most 8 * d * (N + 2) bytes per chunk
-    of 4096 points, the shifted grids and the points' grid indices.  They
-    are scored in blocks of the scorer's B corners, in its workspace of
-    8 d + 40 bytes per corner and the count's scratch (see the module):
-    for d >= 3 the block's open and closed rows of one chunk fill 64 KiB
-    (at least one corner), for d <= 2 a block is 2048 corners.  The random
-    corners are drawn one block at a time (``Stream.randbelow_block``), so
-    memory does not grow with the budget; the winning corner's box is
-    built once, at the end.
+    The points' corners and the random corners are grid indices, scored a
+    block at a time by a box search that never opens its frontier
+    (``_BoxSearch.seed``), so the exact kernel's rule picks the box: of
+    equal values the lexicographically smallest corner examined, whatever
+    the order of the points.  The extra boxes, which need not lie on the
+    grid, are valued one at a time by ``count_closed``, ``count_open`` and
+    ``box_volume``, the first of equal values kept; a winning extra box is
+    returned as passed and stays unless a grid corner is strictly larger.
+    For a fixed seed the random corners form a prefix stream, so a larger
+    budget never lowers the value, though a tie may move the box.  They
+    are drawn a block at a time (``Stream.randbelow_block``), so memory
+    does not grow with the budget; the module gives the figures.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    value, best, corner = -np.inf, None, None
+    value, best = -np.inf, None
     n = ps.n_points
     for box in extra_boxes:
         vol = box_volume(box)
         cand = max(count_closed(ps, box) / n - vol, vol - count_open(ps, box) / n)
         if cand > value:
             value, best = cand, box
-    scorer = _CornerScorer(*_grids(ps.coords))
-    step = scorer.block
+    search = _BoxSearch(*_grids(ps.coords))
+    scorer = search.scorer
+    search.seed(scorer.ranks.T)
     sizes = scorer.top + 1
     largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
-
-    def blocks():
-        """The points' corners, then the random ones, as grid indices."""
-        for i in range(0, n, step):
-            yield scorer.ranks[i:i + step].T
-        for done in range(0, budget, step):
-            rows = min(step, budget - done)
-            picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
-            if sizes.min() < largest:  # else the map is the identity
-                picks *= sizes
-                picks //= largest
-            yield picks.T
-
-    for corners in blocks():
-        cand = scorer.values(corners)[0]
-        i = int(cand.argmax())
-        if cand[i] > value:
-            value, corner = float(cand[i]), corners[:, i].tolist()
-    return value, best if corner is None else scorer.box(corner)
+    for done in range(0, budget, scorer.block):
+        rows = min(scorer.block, budget - done)
+        picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
+        if sizes.min() < largest:  # else the map is the identity
+            picks *= sizes
+            picks //= largest
+        search.seed(picks.T)
+    if search.value > value:
+        return search.value, scorer.box(search.corner)
+    return value, best
 
 
 METHODS = ("exact", "exact2d", "estimate")

@@ -15,6 +15,8 @@ derived stream so results never depend on scheduling.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -108,7 +110,9 @@ class Stream:
         return (self.u64_block(n) >> _U11).astype(np.float64) * _INV53
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound), exactly unbiased (bitmask rejection)."""
+        """Uniform integer in [0, bound), exactly unbiased (bitmask rejection);
+        ``bound`` is any integer, numpy's too, and a float raises TypeError."""
+        bound = operator.index(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound == 1:
@@ -127,6 +131,7 @@ class Stream:
         only those up to the last acceptance used are consumed.  A bound of
         1 consumes no output, as in ``randbelow``.
         """
+        bound = operator.index(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
         if n < 0:

@@ -8,11 +8,13 @@ kept simple even where that costs speed.
 
 The two reference exact kernels are the library's earlier implementations,
 kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
-last axis, and the O(N^2) two-dimensional insertion sweep.  The blocked
-prefix-count kernel that replaced them must agree with them bit for bit
-(value, argmax box and side).  The reference lower estimate is likewise
-the earlier box-at-a-time estimator, kept verbatim; the block-scoring
-estimator must return the same value and box.
+last axis, and the O(N^2) two-dimensional insertion sweep.  The box search
+that replaced them must agree with them bit for bit (value, argmax box and
+side).  The reference lower estimate is the earlier box-at-a-time
+estimator, with one change: its tie rule is the exact kernel's (of equal
+values the lexicographically smallest grid corner wins), while a
+caller-supplied box still stays unless a grid corner is strictly larger.
+The block-scoring estimator must return the same value and box.
 """
 
 from __future__ import annotations
@@ -263,25 +265,30 @@ def reference_star_discrepancy_lower_estimate(
     """Certified lower bound for the star discrepancy.
 
     Takes the best local discrepancy (open and closed-limit evaluations)
-    over the boxes anchored at each point, ``budget`` random corners drawn
-    from the critical grid, and any caller-supplied boxes.  For a fixed
-    seed the random corners form a prefix stream, so a larger budget never
-    lowers the result.
+    over any caller-supplied boxes, the boxes anchored at each point, and
+    ``budget`` random corners drawn from the critical grid.  Of equal
+    values a grid corner replaces a lexicographically larger grid corner,
+    and a caller-supplied box (scored first) is replaced only by a
+    strictly larger value.  For a fixed seed the random corners form a
+    prefix stream, so a larger budget never lowers the result.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     best_val = -np.inf
     best_box: AnchoredBox | None = None
+    best_on_grid = False
 
-    def consider(box: AnchoredBox) -> None:
-        nonlocal best_val, best_box
+    def consider(box: AnchoredBox, on_grid: bool = True) -> None:
+        nonlocal best_val, best_box, best_on_grid
         val, _ = _candidate_value(ps, box)
-        if val > best_val:
+        if val > best_val or (on_grid and best_on_grid and val == best_val
+                              and box.upper.tolist() < best_box.upper.tolist()):
             best_val = val
             best_box = box
+            best_on_grid = on_grid
 
     for box in extra_boxes:
-        consider(box)
+        consider(box, on_grid=False)
     for row in ps.coords:
         consider(AnchoredBox(row.copy()))
 

@@ -788,6 +788,49 @@ class TestLowerEstimate:
             star_discrepancy_lower_estimate(pset([0.5]), budget=0)
 
 
+def row_order_sets():
+    # The pair 0.75, 0.25, and LHS, uniform and coarse-lattice sets (ties
+    # and duplicate points) at d = 1, 2 and 3.
+    sets = [pytest.param(pset([0.75], [0.25]), id="pair-1d")]
+    for d in (1, 2, 3):
+        stream = Stream(derive(100, f"order-lattice-{d}"))
+        sets += [pytest.param(lhs_sample(40, d, derive(100, f"order-lhs-{d}")), id=f"lhs-{d}d"),
+                 pytest.param(uniform_sample(40, d, derive(100, f"order-uniform-{d}")),
+                              id=f"uniform-{d}d")]
+        sets += [pytest.param(lattice_pointset(stream, n, d, m), id=f"lattice-{n}x{d}-{m}")
+                 for n, m in ((40, 5), (12, 2))]
+    return sets
+
+
+class TestRowOrder:
+    """A point set is a multiset: the order of its rows never changes a
+    certificate."""
+
+    @pytest.mark.parametrize("ps", row_order_sets())
+    def test_permuted_rows_give_the_same_certificate(self, ps):
+        # Two seeded permutations, and the reversal, which moves every row
+        # of the pair.
+        stream = Stream(derive(100, "order"))
+        n = ps.n_points
+        exact = star_discrepancy_exact(ps)
+        estimates = [star_discrepancy(ps, "estimate", budget, seed=3) for budget in (1, 50, 3000)]
+        for order in (stream.permutation(n), stream.permutation(n), np.arange(n)[::-1]):
+            moved = PointSet(ps.coords[order])
+            assert_bit_equal(star_discrepancy_exact(moved), exact)
+            for budget, estimate in zip((1, 50, 3000), estimates):
+                assert_bit_equal(star_discrepancy(moved, "estimate", budget, seed=3), estimate)
+
+    @pytest.mark.parametrize("ps", [p for p in row_order_sets() if p.values[0].dim == 1])
+    def test_one_dimensional_estimate_is_exact(self, ps):
+        # Every grid value but 1.0 is a point's own corner, and 1.0 has
+        # value 0, so the points' corners alone are the full scan.
+        exact = star_discrepancy_exact(ps)
+        for budget in (1, 50, 3000):
+            value, found = star_discrepancy_lower_estimate(ps, budget, seed=4)
+            assert np.float64(value).tobytes() == np.float64(exact.value).tobytes()
+            assert found.upper.tobytes() == exact.argmax_box.upper.tobytes()
+
+
 def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
     value, found = star_discrepancy_lower_estimate(ps, budget, seed, extra_boxes)
     ref_value, ref_found = reference_star_discrepancy_lower_estimate(
@@ -808,7 +851,8 @@ def block_rows(ps):
 
 class TestLowerEstimateAgainstScalarEstimator:
     """Bit-equality (value, box bytes, winning extra box) with the
-    box-at-a-time estimator that block scoring replaced."""
+    box-at-a-time reference estimator, which takes the exact kernel's tie
+    rule for grid corners (see ``oracles``)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])

@@ -96,6 +96,24 @@ def test_randbelow_block_rejects_bad_arguments():
     assert s._count == 0
 
 
+@pytest.mark.parametrize("bound", [np.int64(129), np.uint8(7), np.int32(1)])
+def test_numpy_integer_bounds_draw_as_python_ints(bound):
+    a, b = Stream(9), Stream(9)
+    assert [a.randbelow(bound) for _ in range(50)] == [b.randbelow(int(bound)) for _ in range(50)]
+    assert a.randbelow_block(bound, 300).tolist() == b.randbelow_block(int(bound), 300).tolist()
+    assert a._count == b._count
+
+
+def test_float_bounds_rejected():
+    s = Stream(9)
+    for bound in (129.0, 2.5):
+        with pytest.raises(TypeError):
+            s.randbelow(bound)
+        with pytest.raises(TypeError):
+            s.randbelow_block(bound, 3)
+    assert s._count == 0
+
+
 def test_permutation_is_a_bijection():
     s = Stream(11)
     for n in (1, 2, 5, 64):
