@@ -38,9 +38,9 @@ may lie at a smaller corner.  From the whole grid, a box is split at
 mid = (lo + he + 1) >> 1 on every axis into at most 2^d children, [lo, mid)
 or [mid, he) per axis, each bounded with two exact counts from the
 scorer's count tables (per-axis bitsets for d >= 3, plane counts for
-d <= 2).  A single corner's bound is its value; of equal
-values the lexicographically smallest corner (in grid indices, axis by
-axis) is kept, so the result is the full scan's.
+d <= 2).  A single corner's bound is its value; of equal values the
+lexicographically smallest corner (in grid indices, axis by axis) is
+kept, so the result is the full scan's.
 
 The frontier is a stack, searched depth first a chunk at a time: the last
 max(1, B / 2^d) boxes pushed are split and their children bounded, where
@@ -71,19 +71,17 @@ set-up sorts are stable by grid index or block number, which have one
 result whatever the algorithm; as uint16 or uint8 keys numpy runs them as
 a radix sort, and int32 keys stay on an axis of 2^16 or more grid values.
 
-A chunk works in one workspace allocated per call for C children, so
-that it holds a block of the points' own corners or the children of one
-box: the scorer's rows to count, their counts, the count's scratch and
-the volumes and their factors (see ``_CornerScorer``), and the search's
-copies of the chunk's boxes, all their children and masks (see
-``_BoxSearch``).
-Every per-chunk operation writes into views of it with ``out=``.  It
-takes 17 d + 43 bytes per child plus the count's scratch: 56 bytes per
-child at d = 2 (266 KiB in all), and for d >= 3 16 bytes per child and
-one chunk of points' AND rows and popcounts (144 KiB when C = B).  The
-grids, shifted by one, and the points' grid indices take about 12 d N
-bytes.  For d >= 3 the bitset tables take about d * N * min(N, 4096) / 8
-bytes and their rank maps 8 d (N + 2) bytes per 4096 points.  For d = 2
+A chunk works in one workspace, allocated for a block of B corners and,
+once the frontier opens, for C children (the lower estimate never opens
+it, so its workspace stays one block's); ``_CornerScorer`` and
+``_BoxSearch`` list its arrays.  Every per-chunk operation writes into
+views of it with ``out=``.  It takes 17 d + 43 bytes per child plus the
+count's scratch: 56 bytes per child at d = 2 (266 KiB in all), and for
+d >= 3 16 bytes per child and one chunk of points' AND rows and
+popcounts (144 KiB when C = B).  The grids, shifted by one, and the
+points' grid indices take about 12 d N bytes.  For d >= 3 the bitset
+tables take about d * N * min(N, 4096) / 8 bytes and their rank maps
+8 d (N + 2) bytes per 4096 points.  For d = 2
 a chunk of s <= 4096 points keeps cum, (s + 1) x (s // 64 + 2) uint16
 with the columns padded to a multiple of 4, and word, (s // 64 + 1) x 65
 uint64, about 130 bytes per point, and two rank maps of 4 (N + 2) bytes
@@ -342,16 +340,17 @@ class _CornerScorer:
     prefix word and its mask.  At d = 1 the
     count is vmap[b], with one chunk of all the points.
 
-    The workspace is allocated once, for ``size`` = C = max(B, 2^d)
-    corners, a block (B, ``block``) or one box's children: ``rows``, the
-    open and closed rows to count (int32, 2 x d x C), ``counts``, their
-    counts (float64, 2 x C), ``vols``, vol(lo) and vol(hi) (float64,
-    2 x C), ``gaps``, the factors of a volume (float64, C), and the
-    count's own scratch.  Plane counts at d = 2 use two int32, two uint16
-    and two uint64 arrays of 2 x C; bitset counts one intp array of 2 x C
+    The workspace holds a block of corners (B, ``block``) when the scorer
+    is built, and C = max(B, 2^d), a block or one box's children, once the
+    search opens its frontier (``allocate``): ``rows``, the open and
+    closed rows to count (int32, 2 x d x C), ``counts``, their counts
+    (float64, 2 x C), ``vols``, vol(lo) and vol(hi) (float64, 2 x C),
+    ``gaps``, the factors of a volume (float64, C), and the count's own
+    scratch.  Plane counts at d = 2 use two int32, two uint16 and two
+    uint64 arrays of 2 x C; bitset counts one intp array of 2 x C
     and a chunk's AND rows and popcounts, two uint64 and two uint8 arrays
-    of 2 x C x (words per table row), 2 x 64 KiB and 2 x 8 KiB when
-    C = B.  The rows counted lie in [0, top + 1] and every rank map has
+    of 2 x C x (words per table row), 2 x 64 KiB and 2 x 8 KiB for a
+    block.  The rows counted lie in [0, top + 1] and every rank map has
     top + 2 rows (asserted as it is built), so every take is in range and
     names a mode only to write to ``out`` without numpy's buffer.
     """
@@ -378,13 +377,16 @@ class _CornerScorer:
         #: Corners per block (see the module).
         self.block = (_PLANE_BLOCK if self.planes else
                       max(1, _ESTIMATE_WORDS // (2 * self.chunks[0][0][0].shape[1])))
-        #: Corners the workspace holds: a block, or one box's children.
-        self.size = max(self.block, 1 << d)
-        pair = 2 * self.size
+        self.allocate(self.block)
+
+    def allocate(self, size: int) -> None:
+        """Sizes the workspace for ``size`` corners."""
+        d = len(self.grids)
+        pair = 2 * size
         self.rows = np.empty(d * pair, dtype=np.int32)
         self.counts = np.empty(pair)
         self.vols = np.empty(pair)
-        self.gaps = np.empty(self.size)
+        self.gaps = np.empty(size)
         if d == 2:
             self.ints = np.empty((2, pair), dtype=np.int32)
             self.halves = np.empty((2, pair), dtype=np.uint16)
@@ -572,28 +574,22 @@ class _BoxSearch:
     bounded and ``corners_scored`` those that are single corners, whose
     bound is their value; neither counts the corners given to ``seed``.
 
-    The scorer's workspace holds C = max(B, 2^d) corners, a block or one
-    box's children, and so a chunk's per << d children: the kept children
-    are its rows to count, their shares its counts, their vol(lo) and
-    vol(hi) its volumes, and once those are taken its ``gaps`` hold the
-    attained sides and then the bound.  The search's own arrays, sized for
-    the chunk's boxes and C children, are ``ends``, the boxes' lo, he and
-    mid (int32, 3 x d x per), ``children``, all their children before the
-    empty ones drop and then the kept ones' extents (int32, 2 x d x C),
-    and boolean masks.
+    Once ``run`` opens the frontier, the scorer's workspace holds C
+    corners (see ``_CornerScorer``), so a chunk's per << d children: the
+    kept children are its rows to count, their shares its counts, their
+    vol(lo) and vol(hi) its volumes, and then its ``gaps`` hold the
+    attained sides and the bound.  The search's own arrays, allocated then
+    too for the chunk's boxes and C children, are ``ends``, the boxes' lo,
+    he and mid (int32, 3 x d x per), ``children``, all their children
+    before the empty ones drop and then the kept ones' extents (int32,
+    2 x d x C), and boolean masks.
     """
 
     def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
-        d = len(shifted)
         self.scorer = _CornerScorer(shifted, ranks)
         self.grids = self.scorer.grids
         #: Boxes split per chunk: their children fill a block, or are one box's.
-        self.per = max(1, self.scorer.block >> d)
-        size = self.scorer.size
-        self.ends = np.empty(3 * d * self.per, dtype=np.int32)
-        self.children = np.empty(2 * d * size, dtype=np.int32)
-        self.axis_masks = np.empty(d * size, dtype=bool)
-        self.masks = np.empty((3, size), dtype=bool)
+        self.per = max(1, self.scorer.block >> len(shifted))
         self.value = -np.inf
         self.floor = -np.inf
         self.corner: list[int] = []
@@ -611,7 +607,15 @@ class _BoxSearch:
     def run(self) -> None:
         """The seeding pass over the points' own corners, then the frontier."""
         self.seed(self.scorer.ranks.T)
-        whole = np.zeros((2, len(self.grids), 1), dtype=np.int32)
+        d = len(self.grids)
+        size = max(self.scorer.block, 1 << d)
+        if size > self.scorer.block:  # one box's children outgrow a block
+            self.scorer.allocate(size)
+        self.ends = np.empty(3 * d * self.per, dtype=np.int32)
+        self.children = np.empty(2 * d * size, dtype=np.int32)
+        self.axis_masks = np.empty(d * size, dtype=bool)
+        self.masks = np.empty((3, size), dtype=bool)
+        whole = np.zeros((2, d, 1), dtype=np.int32)
         whole[1, :, 0] = self.scorer.top + 1
         stack = [(whole, np.array([np.inf]))]
         per = self.per

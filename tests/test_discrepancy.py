@@ -1036,6 +1036,23 @@ class TestLowerEstimateAgainstScalarEstimator:
         assert peak < planes + 12 * d * n + workspace + 32 * n
         assert current < 1 << 16
 
+    @pytest.mark.parametrize("d", [40, 64])
+    def test_memory_does_not_grow_with_the_corners_of_a_box(self, d):
+        # The estimate never opens a frontier, so its workspace holds one
+        # block of corners, not one box's 2**d children: at most 17 d + 67
+        # bytes per corner of a block, and 64 KiB for the tables and draws.
+        ps = lhs_sample(3, d, derive(95, f"high-dimension-{d}"))
+        star_discrepancy_lower_estimate(pset([0.5]), 1)  # first-call imports
+        tracemalloc.start()
+        try:
+            value, _ = star_discrepancy_lower_estimate(ps, 50, seed=1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value >= 1 / 3
+        assert peak < (17 * d + 67) * block_rows(ps) + (1 << 16)
+        assert current < 1 << 16
+
     def test_extra_box_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             star_discrepancy_lower_estimate(pset([0.5, 0.5]), 1, extra_boxes=[box(0.5)])
