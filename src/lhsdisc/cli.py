@@ -129,6 +129,9 @@ def cmd_prob(args) -> int:
     elif args.inequality == "theorem5":
         report = probtools.check_theorem5_binomial(args.k, args.q, args.t)
     else:
+        # Each tree's depth is drawn in 1..--depth, so the guard is checked
+        # on --depth itself, whatever the seed.
+        probtools.ConditionalBernoulliTree.check_depth(args.depth)
         all_pass = True
         worst = None
         for i in range(args.trees):
@@ -223,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_prob)
 
     q = psub.add_parser("lemma6", help="CDF dominance for dependent Bernoulli sums")
-    q.add_argument("--depth", type=_positive_int, required=True, help="maximum tree depth")
+    q.add_argument("--depth", type=_positive_int, required=True,
+                   help="maximum tree depth, at most "
+                   f"{probtools.ConditionalBernoulliTree.MAX_DEPTH} (the enumeration guard)")
     q.add_argument("--q", type=float, required=True, help="conditional floor")
     q.add_argument("--trees", type=_positive_int, default=1)
     q.add_argument("--seed", type=int, default=0)

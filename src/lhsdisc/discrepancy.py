@@ -18,7 +18,16 @@ turns grid indices into counts and volumes.  The reported box is the
 lexicographically smallest maximizer; it is closed-sided when its closed
 surplus is at least its open deficiency.  The lower estimate scores its
 corners through the search without opening the frontier, so the same rule
-picks its box among the corners it examines.
+picks its box among the corners it examines, and that box is a grid corner.
+A caller's box [0, y) enters it as two grid corners, and needs no value of
+its own.  Its floor corner f takes, per axis, the largest grid value at or
+below y_j, and its ceiling corner c the smallest at or above it.  No
+coordinate lies in (f_j, y_j] or [y_j, c_j), so f has y's closed count and
+c its open count, while vol(f) <= vol(y) <= vol(c) in binary64: f's closed
+surplus is at least y's, and c's open deficiency at least y's.  Where no
+grid value lies at or below y_j, y's closed count is 0 and its surplus at
+most 0, which no corner's value is below (the open share is at most the
+closed one), so grid index 0 stands in.
 
 In every dimension the kernel is a branch and bound over boxes of grid
 indices (Thiemard, "An algorithm to compute bounds for the star
@@ -307,7 +316,8 @@ class _CornerScorer:
     (``box_volume``, ``count_closed``, ``count_open``).  For a box [lo, he)
     it gives vol(lo) and, from ``shifted``, each axis's grid with its first
     value repeated in front, vol(hi) read at he.  ``box`` turns a corner's
-    grid indices into its box.
+    grid indices into its box, and ``corners`` a box into the grid indices
+    of the two grid corners that dominate it.
 
     The counts are exact integers.  On axis j the points a corner holds are
     those whose grid index on that axis is below a row t: row k for the
@@ -548,6 +558,14 @@ class _CornerScorer:
         """The box of a corner given by its grid indices."""
         return AnchoredBox(np.array([g[k] for g, k in zip(self.grids, corner)]))
 
+    def corners(self, uppers: np.ndarray) -> np.ndarray:
+        """The two grid corners (grid indices, d x 2 k) that dominate the
+        boxes of ``uppers`` (k x d upper corners): per axis, the floor, the
+        largest grid value at or below y_j (index 0 if there is none), and
+        the ceiling, the smallest at or above it (see the module)."""
+        return np.array([(np.maximum(g.searchsorted(y, "right") - 1, 0), g.searchsorted(y))
+                         for g, y in zip(self.grids, uppers.T)]).reshape(len(self.grids), -1)
+
 
 @functools.cache
 def _child_rows(d: int) -> np.ndarray:
@@ -724,37 +742,34 @@ def star_discrepancy_lower_estimate(
     """Certified lower bound for the star discrepancy.
 
     Takes the best local discrepancy (open and closed-limit evaluations)
-    over any caller-supplied boxes, then the boxes anchored at each point,
-    then ``budget`` random corners drawn from the critical grid: with L the
-    largest grid size, one ``randbelow(L)`` per axis and corner in
-    row-major order, mapped to index ``pick * len(g) // L`` of axis grid
-    g (the pick itself when every axis has L values).
+    over the boxes anchored at each point, the floor and ceiling grid
+    corners of each caller-supplied box (``_CornerScorer.corners``), whose
+    values are at least the box's own (see the module), and ``budget``
+    random corners drawn from the critical grid: with L the largest grid
+    size, one ``randbelow(L)`` per axis and corner in row-major order,
+    mapped to index ``pick * len(g) // L`` of axis grid g (the pick itself
+    when every axis has L values).
 
-    The points' corners and the random corners are grid indices, scored a
-    block at a time by a box search that never opens its frontier
-    (``_BoxSearch.seed``), so the exact kernel's rule picks the box: of
-    equal values the lexicographically smallest corner examined, whatever
-    the order of the points.  The extra boxes, which need not lie on the
-    grid, are valued one at a time by ``count_closed``, ``count_open`` and
-    ``box_volume``, the first of equal values kept; a winning extra box is
-    returned as passed and stays unless a grid corner is strictly larger.
-    For a fixed seed the random corners form a prefix stream, so a larger
-    budget never lowers the value, though a tie may move the box.  They
-    are drawn a block at a time (``Stream.randbelow_block``), so memory
-    does not grow with the budget; the module gives the figures.
+    Every corner is given by its grid indices and scored a block at a time
+    by a box search that never opens its frontier (``_BoxSearch.seed``), so
+    the exact kernel's rule picks the box: of equal values the
+    lexicographically smallest corner examined, whatever the order of the
+    points or of the boxes.  For a fixed seed the random corners form a
+    prefix stream, so a larger budget never lowers the value, though a tie
+    may move the box.  They are drawn a block at a time
+    (``Stream.randbelow_block``), so memory does not grow with the budget;
+    the module gives the figures.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    value, best = -np.inf, None
-    n = ps.n_points
-    for box in extra_boxes:
-        vol = box_volume(box)
-        cand = max(count_closed(ps, box) / n - vol, vol - count_open(ps, box) / n)
-        if cand > value:
-            value, best = cand, box
+    boxes = list(extra_boxes)
+    for box in boxes:
+        _require_same_dim(ps, box)
     search = _BoxSearch(*_grids(ps.coords))
     scorer = search.scorer
     search.seed(scorer.ranks.T)
+    if boxes:
+        search.seed(scorer.corners(np.array([box.upper for box in boxes])))
     sizes = scorer.top + 1
     largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
@@ -765,9 +780,7 @@ def star_discrepancy_lower_estimate(
             picks *= sizes
             picks //= largest
         search.seed(picks.T)
-    if search.value > value:
-        return search.value, scorer.box(search.corner)
-    return value, best
+    return search.value, scorer.box(search.corner)
 
 
 METHODS = ("exact", "exact2d", "estimate")
@@ -779,11 +792,12 @@ def star_discrepancy(ps: PointSet, method: str = "exact", budget: int | None = N
     """Star discrepancy of ``ps`` by one of METHODS, as one certificate.
 
     exact: ``budget`` guards the grid size (default 10**9).  exact2d: d = 2,
-    no budget.  estimate: a lower bound (``closed_sided`` None) from
-    ``extra_boxes``, then ``budget`` random corners (default 1000) drawn
-    from ``seed``.  Raises MethodError for an unknown method or a budget
-    given to exact2d.  Each kernel is looked up on this module at call
-    time, so a wrapper set on it sees the calls made through here.
+    no budget.  estimate: a lower bound (``closed_sided`` None) on a grid
+    corner, from the points' corners, the grid corners of ``extra_boxes``
+    and ``budget`` random corners (default 1000) drawn from ``seed``.
+    Raises MethodError for an unknown method or a budget given to exact2d.
+    Each kernel is looked up on this module at call time, so a wrapper set
+    on it sees the calls made through here.
     """
     if method == "exact":
         return star_discrepancy_exact(ps, 10**9 if budget is None else budget)

@@ -323,8 +323,7 @@ class ConditionalBernoulliTree:
     def __init__(self, levels: Sequence[np.ndarray], q_floor: float):
         if not 0.0 < q_floor < 1.0:
             raise DomainError(f"q_floor must lie in (0, 1), got {q_floor}")
-        if len(levels) > self.MAX_DEPTH:
-            raise DepthExceeded(f"depth {len(levels)} exceeds guard {self.MAX_DEPTH}")
+        self.check_depth(len(levels))
         self.levels = []
         for j, level in enumerate(levels, start=1):
             arr = np.asarray(level, dtype=np.float64)
@@ -351,12 +350,21 @@ class ConditionalBernoulliTree:
                 )
 
     @classmethod
+    def check_depth(cls, depth: int) -> None:
+        """Raises DepthExceeded past MAX_DEPTH; the constructors call it
+        before they build a level."""
+        if depth > cls.MAX_DEPTH:
+            raise DepthExceeded(f"depth {depth} exceeds guard {cls.MAX_DEPTH}")
+
+    @classmethod
     def independent(cls, depth: int, q: float) -> "ConditionalBernoulliTree":
+        cls.check_depth(depth)
         return cls([np.full(2 ** (j - 1), q) for j in range(1, depth + 1)], q)
 
     @classmethod
     def random(cls, depth: int, q: float, seed: int) -> "ConditionalBernoulliTree":
         """Node probabilities uniform on [q, 1], seeded and reproducible."""
+        cls.check_depth(depth)
         stream = Stream(derive(seed, "lemma6-tree"))
         levels = [q + (1.0 - q) * stream.uniform_block(2 ** (j - 1))
                   for j in range(1, depth + 1)]

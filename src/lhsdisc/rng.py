@@ -77,13 +77,15 @@ def derive(seed: int, label: int | str) -> int:
 
     Deterministic, order-free: any consumer that knows the parent seed and
     the label reconstructs the same substream.  Distinct labels give
-    streams that are independent for all practical purposes.
+    streams that are independent for all practical purposes.  ``seed`` is
+    any integer, numpy's too, and a float raises TypeError.
     """
-    return mix64(mix64((seed + _GAMMA) & MASK64) ^ _label_hash(label))
+    return mix64(mix64((operator.index(seed) + _GAMMA) & MASK64) ^ _label_hash(label))
 
 
 class Stream:
-    """Sequential view of the counter-based stream for one seed.
+    """Sequential view of the counter-based stream for one seed, any
+    integer (numpy's too) taken modulo 2**64; a float raises TypeError.
 
     Not thread-safe; each thread or task should own a derived stream.
     """
@@ -91,7 +93,7 @@ class Stream:
     __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
-        self.seed = seed % (1 << 64)
+        self.seed = operator.index(seed) % (1 << 64)
         self._count = 0
 
     def next_u64(self) -> int:

@@ -197,6 +197,7 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
 
     shrink = sc.shrink_coord
     n_slab = sc.k_int
+    exc_j = trace.stripe_excess
     for j in range(2, d + 1):
         col = coords[:, j - 1]
         w_count = int(inside.sum())
@@ -221,8 +222,8 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
 
     trace.k_count = sum(step.eta for step in trace.steps)
     trace.final_box = AnchoredBox(upper.copy())
-    final_count = int(np.all(coords < upper, axis=1).sum())
-    trace.final_excess = final_count - n * box_volume(trace.final_box)
+    # ``inside`` and ``volume`` are the final box's, so the last excess is its.
+    trace.final_excess = exc_j
     return trace
 
 

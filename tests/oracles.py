@@ -11,10 +11,11 @@ kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
 last axis, and the O(N^2) two-dimensional insertion sweep.  The box search
 that replaced them must agree with them bit for bit (value, argmax box and
 side).  The reference lower estimate is the earlier box-at-a-time
-estimator, with one change: its tie rule is the exact kernel's (of equal
-values the lexicographically smallest grid corner wins), while a
-caller-supplied box still stays unless a grid corner is strictly larger.
-The block-scoring estimator must return the same value and box.
+estimator, with two changes: its tie rule is the exact kernel's (of equal
+values the lexicographically smallest grid corner wins), and a
+caller-supplied box enters as its two dominating grid corners, found by
+masking each axis's grid.  The block-scoring estimator must return
+the same value and box.
 """
 
 from __future__ import annotations
@@ -265,34 +266,39 @@ def reference_star_discrepancy_lower_estimate(
     """Certified lower bound for the star discrepancy.
 
     Takes the best local discrepancy (open and closed-limit evaluations)
-    over any caller-supplied boxes, the boxes anchored at each point, and
-    ``budget`` random corners drawn from the critical grid.  Of equal
-    values a grid corner replaces a lexicographically larger grid corner,
-    and a caller-supplied box (scored first) is replaced only by a
-    strictly larger value.  For a fixed seed the random corners form a
-    prefix stream, so a larger budget never lowers the result.
+    over the grid corners of any caller-supplied boxes, the boxes anchored
+    at each point, and ``budget`` random corners drawn from the critical
+    grid.  A caller's box [0, y) enters as two grid corners: per axis the
+    largest grid value at or below y_j (the smallest grid value if there is
+    none), and the smallest at or above it.  Of equal values the
+    lexicographically smallest corner wins.  For a fixed seed the random
+    corners form a prefix stream, so a larger budget never lowers the
+    result.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     best_val = -np.inf
     best_box: AnchoredBox | None = None
-    best_on_grid = False
 
-    def consider(box: AnchoredBox, on_grid: bool = True) -> None:
-        nonlocal best_val, best_box, best_on_grid
+    def consider(box: AnchoredBox) -> None:
+        nonlocal best_val, best_box
         val, _ = _candidate_value(ps, box)
-        if val > best_val or (on_grid and best_on_grid and val == best_val
+        if val > best_val or (val == best_val
                               and box.upper.tolist() < best_box.upper.tolist()):
             best_val = val
             best_box = box
-            best_on_grid = on_grid
 
+    grids = _grids(ps.coords)
     for box in extra_boxes:
-        consider(box, on_grid=False)
+        if box.dim != ps.dim:
+            raise DimensionMismatch(f"point set has dim {ps.dim}, box has dim {box.dim}")
+        below = [g[g <= y].max(initial=g[0]) for g, y in zip(grids, box.upper)]
+        above = [g[g >= y].min() for g, y in zip(grids, box.upper)]
+        consider(AnchoredBox(np.array(below)))
+        consider(AnchoredBox(np.array(above)))
     for row in ps.coords:
         consider(AnchoredBox(row.copy()))
 
-    grids = _grids(ps.coords)
     largest = max(len(g) for g in grids)
     stream = Stream(derive(seed, "lower-estimate"))
     for _ in range(budget):

@@ -152,9 +152,11 @@ def test_prob_lemma6_floor_outside_unit_interval_exit_2(capsys):
 
 
 def test_prob_lemma6_depth_over_guard_exit_2(capsys):
-    # Seed 6 draws the largest depth for the first tree: 21 > MAX_DEPTH.
-    assert run(["prob", "lemma6", "--depth", "21", "--q", "0.0125", "--seed", "6"]) == 2
-    assert "exceeds guard" in capsys.readouterr().err
+    # Seed 6 draws the largest depth for the first tree, 21 > MAX_DEPTH, and
+    # seed 0 one within the guard: --depth itself is checked.
+    for seed in ("6", "0"):
+        assert run(["prob", "lemma6", "--depth", "21", "--q", "0.0125", "--seed", seed]) == 2
+        assert "exceeds guard" in capsys.readouterr().err
 
 
 def test_stardisc_input_not_utf8_exit_2(tmp_path, capsys):

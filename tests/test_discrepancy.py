@@ -837,9 +837,6 @@ def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
         ps, budget, seed, extra_boxes)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert found.upper.tobytes() == ref_found.upper.tobytes()
-    assert any(found is b for b in extra_boxes) == any(ref_found is b for b in extra_boxes)
-    if any(ref_found is b for b in extra_boxes):
-        assert found is ref_found
     return value, found
 
 
@@ -850,9 +847,9 @@ def block_rows(ps):
 
 
 class TestLowerEstimateAgainstScalarEstimator:
-    """Bit-equality (value, box bytes, winning extra box) with the
-    box-at-a-time reference estimator, which takes the exact kernel's tie
-    rule for grid corners (see ``oracles``)."""
+    """Bit-equality (value, box bytes) with the box-at-a-time reference
+    estimator, which takes the exact kernel's tie rule and the extra boxes'
+    grid corners (see ``oracles``)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
@@ -892,15 +889,23 @@ class TestLowerEstimateAgainstScalarEstimator:
 
     def test_extra_boxes_tie_and_win(self):
         ps = lhs_sample(40, 2, derive(92, "extra"))
-        _, winner = reference_star_discrepancy_lower_estimate(ps, 1, seed=3)
-        # A copy of the winning box ties with it, so the extra box
-        # (scored first) is returned; of two equal extra boxes, the first.
+        value, winner = star_discrepancy_lower_estimate(ps, 1, 3)
+        # A copy of the winning corner ties with it, in either order, and
+        # the box returned is still the grid corner's, not the copy.
         tie = AnchoredBox(winner.upper)
-        twin = AnchoredBox(winner.upper)
-        _, found = assert_estimate_bit_equal(ps, 1, 3, [box(0.5, 0.5), tie, twin])
-        assert found is tie
-        _, found = assert_estimate_bit_equal(ps, 1, 3, [box(0.0, 0.0)])
-        assert found.upper.tobytes() == winner.upper.tobytes()
+        for extra in ([box(0.5, 0.5), tie], [tie, box(0.5, 0.5)], [box(0.0, 0.0)]):
+            found_value, found = assert_estimate_bit_equal(ps, 1, 3, extra)
+            assert found_value == value and found is not tie
+            assert found.upper.tobytes() == winner.upper.tobytes()
+        # The exact maximizer moved one ulp off the grid, to the side that
+        # keeps its count, wins as the grid corner it came from.
+        exact = star_discrepancy_exact(ps)
+        assert exact.value > value
+        off = AnchoredBox(np.nextafter(exact.argmax_box.upper, 1.0 if exact.closed_sided else 0.0))
+        assert off.upper.tobytes() != exact.argmax_box.upper.tobytes()
+        found_value, found = assert_estimate_bit_equal(ps, 1, 3, [box(0.5, 0.5), off])
+        assert found_value == exact.value
+        assert found.upper.tobytes() == exact.argmax_box.upper.tobytes()
 
     def test_extra_boxes_over_several_blocks(self):
         ps = uniform_sample(3200, 2, derive(93, "many-extra"))
@@ -934,6 +939,36 @@ class TestLowerEstimateAgainstScalarEstimator:
         budget = data.draw(st.integers(1, 40))
         seed = data.draw(st.integers(0, 2**64 - 1))
         assert_estimate_bit_equal(PointSet(np.array(coords).reshape(n, d)), budget, seed, extra)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_extra_boxes_enter_as_grid_corners(self, data):
+        # Whatever the extra boxes, the value is at least each box's own
+        # value and the value without them, at most the exact value, and
+        # the box is a grid corner.  A box's components are drawn from 0.0,
+        # 1.0, half the smallest coordinate, each coordinate and one ulp
+        # either side of it, and any float in [0, 1].
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 12))
+        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                          st.floats(0.0, 1.0, exclude_max=True))
+        ps = PointSet(np.array(data.draw(st.lists(value, min_size=n * d, max_size=n * d)))
+                      .reshape(n, d))
+        grids = [np.append(np.unique(column), 1.0) for column in ps.coords.T]
+        edges = [[0.0, 1.0, column.min() / 2]
+                 + [float(y) for x in column for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))]
+                 for column in ps.coords.T]
+        corner = st.tuples(*(st.one_of(st.sampled_from(e), st.floats(0.0, 1.0)) for e in edges))
+        extra = [AnchoredBox(np.array(c)) for c in data.draw(st.lists(corner, max_size=3))]
+        budget = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        found_value, found = assert_estimate_bit_equal(ps, budget, seed, extra)
+        assert found_value >= star_discrepancy_lower_estimate(ps, budget, seed)[0]
+        for b in extra:
+            vol = box_volume(b)
+            assert found_value >= max(count_closed(ps, b) / n - vol, vol - count_open(ps, b) / n)
+        assert found_value <= star_discrepancy_exact(ps).value
+        assert all(y in grid for y, grid in zip(found.upper, grids))
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,20 @@ class TestTree:
             tree_sum_distribution(tree, 4)
         with pytest.raises(DepthExceeded):
             ConditionalBernoulliTree.independent(21, 0.5)
+
+    def test_refused_depth_builds_no_level(self):
+        # At depth 21 the levels would take 16 MiB (independent) and 32 MiB
+        # (random, with its draws); the guard runs before the first one.
+        for build in (lambda: ConditionalBernoulliTree.independent(21, 0.5),
+                      lambda: ConditionalBernoulliTree.random(21, 0.5, seed=0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DepthExceeded):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_level_shape_validated(self):
         with pytest.raises(ValueError):

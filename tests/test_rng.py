@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from lhsdisc import rng
 from lhsdisc.rng import Stream, derive, mix64
+from lhsdisc.sampling import lhs_sample
 
 
 def test_scalar_and_block_paths_agree():
@@ -112,6 +114,26 @@ def test_float_bounds_rejected():
         with pytest.raises(TypeError):
             s.randbelow_block(bound, 3)
     assert s._count == 0
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int32(-3),
+                                  np.uint64(2**64 - 1), np.int8(0)])
+def test_numpy_integer_seeds_draw_as_python_ints(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warnings either
+        assert derive(seed, "x") == derive(int(seed), "x")
+        a, b = Stream(seed), Stream(int(seed))
+        assert a.seed == b.seed
+        assert a.u64_block(5).tolist() == b.u64_block(5).tolist()
+        assert lhs_sample(4, 2, seed).coords.tobytes() == lhs_sample(4, 2, int(seed)).coords.tobytes()
+
+
+def test_float_seeds_rejected():
+    for seed in (5.0, 2.5, np.float64(5.0)):
+        with pytest.raises(TypeError):
+            derive(seed, "x")
+        with pytest.raises(TypeError):
+            Stream(seed)
 
 
 def test_permutation_is_a_bijection():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lhsdisc.discrepancy import DimensionMismatch, star_discrepancy_exact_2d
+from lhsdisc.discrepancy import DimensionMismatch, excess, star_discrepancy_exact_2d
 from lhsdisc.points import ONE_BELOW, PointSet
 from lhsdisc.rng import derive
 from lhsdisc.sampling import lhs_sample, uniform_sample
@@ -225,6 +225,22 @@ class TestBuildWitness:
             for x in xs:
                 vol *= x
             assert trace.final_excess == final_count - n * vol
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_final_excess_is_the_last_steps(self, d):
+        # The last step's excess is the final box's: byte-equal to a recount
+        # of the points in it, for strict and non-strict slab constants.
+        for n, strict in ((1600 * d, True), (82 * d, False)):
+            sc = compute_slab_constant(n, d, strict=strict)
+            for sampler in (lhs_sample, uniform_sample):
+                for s in range(2):
+                    ps = sampler(n, d, derive(59, f"{d}-{n}-{s}"))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", NotLatinWarning)
+                        trace = build_witness(ps, sc)
+                    final = np.float64(trace.final_excess).tobytes()
+                    assert final == np.float64(trace.steps[-1].excess).tobytes()
+                    assert final == np.float64(excess(ps, trace.final_box)).tobytes()
 
     def test_first_step_shrink_rate_matches_hypergeometric_law(self):
         # For d = 2 the stripe holds W = 800 of N = 3200 points and the
