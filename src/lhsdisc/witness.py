@@ -15,6 +15,10 @@ adds at least sqrt(c v)/2 * sqrt(N/d) to the excess (v is the floor of the
 box volume), so the final excess divided by N is a certified lower bound
 for the star discrepancy.
 
+The walk carries one running box: the mask of its points, their count and
+its volume.  A shrink removes exactly the slab's Y_j points and multiplies
+the volume by the one coordinate that changed, so nothing is recounted.
+
 The construction is a deterministic, pure function of the point set; all
 randomness lives in the sample.  It is well defined for any point set, but
 its probabilistic guarantees hold only under the Latin hypercube law, so a
@@ -25,11 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .discrepancy import AnchoredBox, DimensionMismatch, box_volume
+from .discrepancy import AnchoredBox, DimensionMismatch
 from .points import PointSet
 from .sampling import latin_check
 
@@ -90,7 +92,8 @@ class WitnessStep:
 
 @dataclass
 class WitnessTrace:
-    """Full record of the construction on one point set."""
+    """Full record of the construction on one point set, built once when
+    the walk ends; ``final_box`` is the last step's box."""
 
     n_points: int
     dim: int
@@ -98,10 +101,10 @@ class WitnessTrace:
     stripe_upper: float
     stripe_count: int
     stripe_excess: float
-    steps: list[WitnessStep] = field(default_factory=list)
-    k_count: int = 0
-    final_box: AnchoredBox | None = None
-    final_excess: float = 0.0
+    steps: list[WitnessStep]
+    k_count: int
+    final_box: AnchoredBox
+    final_excess: float
 
 
 def compute_slab_constant(n_points: int, dim: int, strict: bool = True) -> SlabConstant:
@@ -165,6 +168,11 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
     N = 7840, d = 2 (k = 49), W = 640 gives m = 4 and the tie Y = 3, but
     49 * (640 / 7840) rounds below 4, so the float threshold falls below
     3.  The float ``threshold`` is kept for the trace only.
+
+    Each axis computes its slab mask once and takes Y from it.  The box's
+    count and volume are running state: a shrink subtracts Y from the count
+    and multiplies the volume by 1 - c/d, which is the left-to-right
+    product ``box_volume`` forms, since every other factor is 1.0.
     """
     n, d = ps.n_points, ps.dim
     if (n, d) != (sc.n_points, sc.dim):
@@ -180,51 +188,42 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
 
     coords = ps.coords
     stripe_upper = (n // 4) / n
-    upper = np.ones(d, dtype=np.float64)
-    upper[0] = stripe_upper
-
     inside = coords[:, 0] < stripe_upper  # remaining axes are full [0,1)
-    stripe_count = int(inside.sum())
-    volume = box_volume(AnchoredBox(upper))
-    trace = WitnessTrace(
+    stripe_count = count = int(inside.sum())
+    volume = stripe_upper
+
+    shrink = sc.shrink_coord
+    n_slab = sc.k_int
+    steps = []
+    for j in range(2, d + 1):
+        slab = inside & (coords[:, j - 1] >= shrink)
+        w_count, y_count = count, int(slab.sum())
+        p = w_count / n
+        mean = n_slab * p
+        threshold = mean - math.sqrt(mean) / 2.0
+        eta = int(_shrinks(n_slab, w_count, y_count, n))
+        if eta:
+            inside ^= slab  # the slab lies inside the box
+            count -= y_count
+            volume *= shrink
+        steps.append(
+            WitnessStep(j=j, w_count=w_count, p=p, y_count=y_count,
+                        threshold=threshold, eta=eta, x=shrink if eta else 1.0,
+                        volume=volume, excess=count - n * volume)
+        )
+
+    return WitnessTrace(
         n_points=n,
         dim=d,
         slab=sc,
         stripe_upper=stripe_upper,
         stripe_count=stripe_count,
-        stripe_excess=stripe_count - n * volume,
+        stripe_excess=stripe_count - n * stripe_upper,
+        steps=steps,
+        k_count=sum(step.eta for step in steps),
+        final_box=AnchoredBox([stripe_upper] + [step.x for step in steps]),
+        final_excess=steps[-1].excess,
     )
-
-    shrink = sc.shrink_coord
-    n_slab = sc.k_int
-    exc_j = trace.stripe_excess
-    for j in range(2, d + 1):
-        col = coords[:, j - 1]
-        w_count = int(inside.sum())
-        p = w_count / n
-        y_count = int((inside & (col >= shrink)).sum())
-        mean = n_slab * p
-        threshold = mean - math.sqrt(mean) / 2.0
-        eta = int(_shrinks(n_slab, w_count, y_count, n))
-        if eta:
-            x_j = shrink
-            upper[j - 1] = shrink
-            inside &= col < shrink
-        else:
-            x_j = 1.0
-        volume = box_volume(AnchoredBox(upper))
-        exc_j = int(inside.sum()) - n * volume
-        trace.steps.append(
-            WitnessStep(j=j, w_count=w_count, p=p, y_count=y_count,
-                        threshold=threshold, eta=eta, x=x_j,
-                        volume=volume, excess=exc_j)
-        )
-
-    trace.k_count = sum(step.eta for step in trace.steps)
-    trace.final_box = AnchoredBox(upper.copy())
-    # ``inside`` and ``volume`` are the final box's, so the last excess is its.
-    trace.final_excess = exc_j
-    return trace
 
 
 def witness_lower_bound(trace: WitnessTrace) -> float:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lhsdisc.discrepancy import DimensionMismatch, excess, star_discrepancy_exact_2d
+from lhsdisc.discrepancy import (
+    AnchoredBox,
+    DimensionMismatch,
+    box_volume,
+    count_open,
+    excess,
+    star_discrepancy_exact_2d,
+)
 from lhsdisc.points import ONE_BELOW, PointSet
 from lhsdisc.rng import derive
 from lhsdisc.sampling import lhs_sample, uniform_sample
@@ -238,6 +245,15 @@ class TestBuildWitness:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", NotLatinWarning)
                         trace = build_witness(ps, sc)
+                    # Each step's running volume and count are its box's.
+                    xs = [trace.stripe_upper] + [1.0] * (d - 1)
+                    for step in trace.steps:
+                        xs[step.j - 1] = step.x
+                        box = AnchoredBox(xs)
+                        assert (np.float64(step.volume).tobytes()
+                                == np.float64(box_volume(box)).tobytes())
+                        assert step.w_count - step.eta * step.y_count == count_open(ps, box)
+                    assert np.array_equal(trace.final_box.upper, xs)
                     final = np.float64(trace.final_excess).tobytes()
                     assert final == np.float64(trace.steps[-1].excess).tobytes()
                     assert final == np.float64(excess(ps, trace.final_box)).tobytes()
