@@ -18,6 +18,10 @@ for the star discrepancy.
 The walk carries one running box: the mask of its points, their count and
 its volume.  A shrink removes exactly the slab's Y_j points and multiplies
 the volume by the one coordinate that changed, so nothing is recounted.
+Every box coordinate is a binary64, so N vol is an integer over a power of
+two; the walk carries it exactly, next to the float volume.  Every reported
+excess, and the bound, is the largest double at or below its exact value,
+so the bound never exceeds the box's exact local discrepancy.
 
 The construction is a deterministic, pure function of the point set; all
 randomness lives in the sample.  It is well defined for any point set, but
@@ -90,10 +94,23 @@ class WitnessStep:
     excess: float
 
 
+def _round_down(num: int, den: int) -> float:
+    """Largest double at or below num / den, for den > 0."""
+    q = num / den  # int true division rounds correctly, to nearest
+    a, b = q.as_integer_ratio()
+    return math.nextafter(q, -math.inf) if a * den > num * b else q
+
+
 @dataclass
 class WitnessTrace:
     """Full record of the construction on one point set, built once when
-    the walk ends; ``final_box`` is the last step's box."""
+    the walk ends; ``final_box`` is the last step's box.
+
+    ``stripe_excess``, each step's ``excess`` and ``final_excess`` are the
+    largest doubles at or below the exact excesses count - N vol;
+    ``final_excess_ratio`` is the final box's exact excess as (numerator,
+    denominator), the denominator a power of two.
+    """
 
     n_points: int
     dim: int
@@ -105,6 +122,7 @@ class WitnessTrace:
     k_count: int
     final_box: AnchoredBox
     final_excess: float
+    final_excess_ratio: tuple[int, int]
 
 
 def compute_slab_constant(n_points: int, dim: int, strict: bool = True) -> SlabConstant:
@@ -172,7 +190,10 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
     Each axis computes its slab mask once and takes Y from it.  The box's
     count and volume are running state: a shrink subtracts Y from the count
     and multiplies the volume by 1 - c/d, which is the left-to-right
-    product ``box_volume`` forms, since every other factor is 1.0.
+    product ``box_volume`` forms, since every other factor is 1.0.  Next to
+    it N vol is kept exactly, from each coordinate's ``as_integer_ratio``,
+    and each excess is rounded toward -inf from its exact value, so a step
+    that leaves the box as it is repeats the excess before it.
     """
     n, d = ps.n_points, ps.dim
     if (n, d) != (sc.n_points, sc.dim):
@@ -191,9 +212,13 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
     inside = coords[:, 0] < stripe_upper  # remaining axes are full [0,1)
     stripe_count = count = int(inside.sum())
     volume = stripe_upper
+    # N vol = n * num / den exactly: every coordinate is a binary64.
+    num, den = stripe_upper.as_integer_ratio()
+    stripe_excess = _round_down(stripe_count * den - n * num, den)
 
     shrink = sc.shrink_coord
     n_slab = sc.k_int
+    shrink_num, shrink_den = shrink.as_integer_ratio()
     steps = []
     for j in range(2, d + 1):
         slab = inside & (coords[:, j - 1] >= shrink)
@@ -206,10 +231,12 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
             inside ^= slab  # the slab lies inside the box
             count -= y_count
             volume *= shrink
+            num *= shrink_num
+            den *= shrink_den
         steps.append(
             WitnessStep(j=j, w_count=w_count, p=p, y_count=y_count,
                         threshold=threshold, eta=eta, x=shrink if eta else 1.0,
-                        volume=volume, excess=count - n * volume)
+                        volume=volume, excess=_round_down(count * den - n * num, den))
         )
 
     return WitnessTrace(
@@ -218,14 +245,17 @@ def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
         slab=sc,
         stripe_upper=stripe_upper,
         stripe_count=stripe_count,
-        stripe_excess=stripe_count - n * stripe_upper,
+        stripe_excess=stripe_excess,
         steps=steps,
         k_count=sum(step.eta for step in steps),
         final_box=AnchoredBox([stripe_upper] + [step.x for step in steps]),
         final_excess=steps[-1].excess,
+        final_excess_ratio=(count * den - n * num, den),
     )
 
 
 def witness_lower_bound(trace: WitnessTrace) -> float:
-    """Certified lower bound for the star discrepancy: max(excess, 0) / N."""
-    return max(trace.final_excess, 0.0) / trace.n_points
+    """Certified lower bound for the star discrepancy: the largest double
+    at or below max(E, 0) / N, with E the final box's exact excess."""
+    num, den = trace.final_excess_ratio
+    return _round_down(max(num, 0), den * trace.n_points)

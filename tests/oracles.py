@@ -320,6 +320,30 @@ def witness_shrinks_frac(k: int, w_count: int, y_count: int, n: int) -> bool:
     return bound >= 0 and bound * bound >= m
 
 
+def box_excess_frac(coords: np.ndarray, upper: Sequence[float]) -> Fraction:
+    """Exact excess count - N vol of the box [0, upper): the points with
+    every x_j < y_j, less N times the product of the corners as Fractions."""
+    count = int(np.all(coords < np.asarray(upper, dtype=np.float64), axis=1).sum())
+    return count - len(coords) * math.prod(Fraction(y) for y in upper)
+
+
+def floor_double(q: Fraction) -> float:
+    """Largest double at or below q (normal range): q floored to 53
+    significant bits."""
+    if q == 0:
+        return 0.0
+    e = abs(q.numerator).bit_length() - q.denominator.bit_length()
+    if abs(q) < Fraction(2) ** e:
+        e -= 1  # now 2**e <= |q| < 2**(e + 1)
+    return math.ldexp(math.floor(q * Fraction(2) ** (52 - e)), e - 52)
+
+
+def witness_bound_frac(coords: np.ndarray, upper: Sequence[float]) -> Fraction:
+    """The witness lower bound of the box [0, upper) in rationals:
+    max(excess, 0) / N."""
+    return max(box_excess_frac(coords, upper), Fraction(0)) / len(coords)
+
+
 def binom_pmf_frac(n: int, p: Fraction, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)

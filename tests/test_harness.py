@@ -21,7 +21,10 @@ from lhsdisc.harness import (
     verify_theorem2,
 )
 from lhsdisc.rng import derive
-from lhsdisc.witness import PreconditionViolated
+from lhsdisc.sampling import lhs_sample
+from lhsdisc.witness import PreconditionViolated, build_witness, compute_slab_constant
+
+from oracles import floor_double, witness_bound_frac
 
 CONFIG_TEXT = """
 # demo experiment
@@ -284,10 +287,19 @@ class TestEmit:
         config = small_config(N=160, trials=3, strict_witness=False, method=method,
                               estimate_budget=50)
         records = run_trials(config)
+        # Each pinned witness bound is the largest double at or below its
+        # box's exact bound.  Trial 1's box [0, 1/4) x [0, 1 - 1/160) holds
+        # 40 points, and N vol lies 2**-52 above 39.75, so the bound lies
+        # just below 1/640.
+        slab = compute_slab_constant(160, 2, strict=False)
+        for record in records:
+            ps = lhs_sample(160, 2, record.seed)
+            upper = build_witness(ps, slab).final_box.upper
+            assert record.witness_bound == floor_double(witness_bound_frac(ps.coords, upper))
         assert emit_csv(records) == (
             "trial,seed,dstar,method,witness_bound,k_count,runtime_ms\n"
             f"0,4543630709867271855,{dstars[0]},{method},0,0,\n"
-            f"1,9755870440102326128,{dstars[1]},{method},0.0015625000000000001,1,\n"
+            f"1,9755870440102326128,{dstars[1]},{method},0.0015624999999999944,1,\n"
             f"2,16598938683728881325,{dstars[2]},{method},0,0,\n"
         )
         assert emit_json(summarize(records, config)) == """\
@@ -298,8 +310,8 @@ class TestEmit:
   "dstar_se": %s,
   "k_mean": 0.3333333333333333,
   "k_reference": 0.0125,
-  "witness_mean": 0.0005208333333333333,
-  "witness_se": 0.0005208333333333334,
+  "witness_mean": 0.0005208333333333315,
+  "witness_se": 0.0005208333333333315,
   "witness_reference": 1.7143774970490224e-05,
   "freq_k_below": 0.6666666666666666,
   "k_below_reference": 0.9875,

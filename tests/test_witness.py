@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from lhsdisc.discrepancy import (
     DimensionMismatch,
     box_volume,
     count_open,
-    excess,
     star_discrepancy_exact_2d,
 )
 from lhsdisc.points import ONE_BELOW, PointSet
@@ -28,7 +28,7 @@ from lhsdisc.witness import (
     witness_lower_bound,
 )
 
-from oracles import witness_shrinks_frac
+from oracles import box_excess_frac, floor_double, witness_bound_frac, witness_shrinks_frac
 
 
 def largest_admissible_k(n_points, dim):
@@ -193,10 +193,15 @@ class TestBuildWitness:
         sc = compute_slab_constant(3200, 2)
         ps = lhs_sample(3200, 2, derive(57, 0))
         trace = build_witness(ps, sc)
-        trace.final_excess = 0.0
+        # The bound reads the exact excess, as (numerator, denominator).
+        trace.final_excess_ratio = (0, 1)
         assert witness_lower_bound(trace) == 0.0
-        trace.final_excess = -3.0
+        trace.final_excess_ratio = (-3, 1)
         assert witness_lower_bound(trace) == 0.0
+        # 1/3200 rounds up to nearest, so the bound is the double below it.
+        trace.final_excess_ratio = (1, 1)
+        assert Fraction(1 / 3200) > Fraction(1, 3200)
+        assert witness_lower_bound(trace) == floor_double(Fraction(1, 3200))
 
     def test_stripe_interval_for_small_n(self):
         # floor(N/4)/N sits in (1/5, 1/4] once N >= 20.
@@ -228,15 +233,14 @@ class TestBuildWitness:
                     xs[j - 1] = sc.shrink_coord
             final_count = sum(1 for p in ps.coords
                               if all(p[i] < xs[i] for i in range(d)))
-            vol = 1.0
-            for x in xs:
-                vol *= x
-            assert trace.final_excess == final_count - n * vol
+            exact = final_count - n * math.prod(Fraction(x) for x in xs)
+            assert trace.final_excess == floor_double(exact)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_final_excess_is_the_last_steps(self, d):
-        # The last step's excess is the final box's: byte-equal to a recount
-        # of the points in it, for strict and non-strict slab constants.
+        # Each step's excess is the largest double at or below its box's
+        # exact excess, and the last step's is the final box's, for strict
+        # and non-strict slab constants.
         for n, strict in ((1600 * d, True), (82 * d, False)):
             sc = compute_slab_constant(n, d, strict=strict)
             for sampler in (lhs_sample, uniform_sample):
@@ -253,10 +257,27 @@ class TestBuildWitness:
                         assert (np.float64(step.volume).tobytes()
                                 == np.float64(box_volume(box)).tobytes())
                         assert step.w_count - step.eta * step.y_count == count_open(ps, box)
+                        assert step.excess == floor_double(box_excess_frac(ps.coords, xs))
                     assert np.array_equal(trace.final_box.upper, xs)
                     final = np.float64(trace.final_excess).tobytes()
                     assert final == np.float64(trace.steps[-1].excess).tobytes()
-                    assert final == np.float64(excess(ps, trace.final_box)).tobytes()
+                    assert final == np.float64(
+                        floor_double(box_excess_frac(ps.coords, trace.final_box.upper))).tobytes()
+
+    @pytest.mark.parametrize("n,d", [(6400, 4), (3200, 2), (4800, 3),
+                                     (7840, 2), (16000, 2), (12800, 8)])
+    def test_bound_is_the_largest_double_below_the_exact_value(self, n, d):
+        # The paper's shapes.  N * vol cancels against the count, so an
+        # excess computed in binary64 lies above the exact one on 33 of
+        # these 150 inputs.
+        sc = compute_slab_constant(n, d)
+        for s in range(25):
+            ps = lhs_sample(n, d, s)
+            trace = build_witness(ps, sc)
+            bound = witness_lower_bound(trace)
+            exact = witness_bound_frac(ps.coords, trace.final_box.upper)
+            assert Fraction(bound) <= exact < Fraction(math.nextafter(bound, math.inf))
+            assert trace.final_excess == floor_double(box_excess_frac(ps.coords, trace.final_box.upper))
 
     def test_first_step_shrink_rate_matches_hypergeometric_law(self):
         # For d = 2 the stripe holds W = 800 of N = 3200 points and the
