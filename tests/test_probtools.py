@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -45,11 +46,18 @@ class TestLogChoose:
         assert log_choose(5, 2) == pytest.approx(math.log(10), rel=1e-15)
 
     def test_against_big_integer_oracle(self):
-        # (10**6, 17) stresses the cancellation regime, (10**6, 20000) the
-        # log-gamma branch.
+        # (10**6, 17) and (10**6, 20000) are where a difference of
+        # log-gammas cancels.
         for n, k in [(1000, 500), (1000, 3), (10**6, 17), (10**6, 9999), (10**6, 20000)]:
             exact = math.log(math.comb(n, k))
             assert log_choose(n, k) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(40000, 20000), (21000, 10500), (10**6, 20000)])
+    def test_within_an_ulp_of_the_correctly_rounded_log(self, n, k):
+        # The reference is ln of the exact integer to 80 digits, rounded
+        # once to binary64.
+        ref = float(decimal.Context(prec=80).ln(decimal.Decimal(math.comb(n, k))))
+        assert abs(log_choose(n, k) - ref) <= math.ulp(ref)
 
     def test_domain(self):
         with pytest.raises(DomainError):
