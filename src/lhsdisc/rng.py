@@ -59,17 +59,16 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
 
 
 def _label_hash(label: int | str) -> int:
-    if isinstance(label, bool):
-        raise TypeError("labels must be int or str, not bool")
-    if isinstance(label, int):
-        return mix64(label % (1 << 64))
     if isinstance(label, str):
         # FNV-1a over UTF-8, then one avalanche round.
         h = 0xCBF29CE484222325
         for byte in label.encode("utf-8"):
             h = ((h ^ byte) * 0x100000001B3) & MASK64
         return mix64(h)
-    raise TypeError(f"labels must be int or str, got {type(label).__name__}")
+    if isinstance(label, bool):
+        raise TypeError("labels must be int or str, not bool")
+    # numpy's integers as the equal Python int; its bool and floats raise.
+    return mix64(operator.index(label) % (1 << 64))
 
 
 def derive(seed: int, label: int | str) -> int:
@@ -78,7 +77,8 @@ def derive(seed: int, label: int | str) -> int:
     Deterministic, order-free: any consumer that knows the parent seed and
     the label reconstructs the same substream.  Distinct labels give
     streams that are independent for all practical purposes.  ``seed`` is
-    any integer, numpy's too, and a float raises TypeError.
+    any integer, numpy's too, and so is an integer ``label``, hashed as the
+    equal Python int; a float, or a bool label, raises TypeError.
     """
     return mix64(mix64((operator.index(seed) + _GAMMA) & MASK64) ^ _label_hash(label))
 

@@ -44,10 +44,14 @@ def test_derive_is_deterministic_and_label_sensitive():
 
 
 def test_derive_rejects_bad_labels():
-    with pytest.raises(TypeError):
-        derive(1, 1.5)
-    with pytest.raises(TypeError):
-        derive(1, True)
+    for label in (1.5, True, np.bool_(True), np.float64(3.0)):
+        with pytest.raises(TypeError):
+            derive(1, label)
+
+
+@pytest.mark.parametrize("label", [np.int64(3), np.uint64(2**64 - 1), np.int32(-3), np.uint8(0)])
+def test_numpy_integer_labels_hash_as_python_ints(label):
+    assert derive(5, label) == derive(5, int(label))
 
 
 def test_stream_matches_splitmix64_reference():
