@@ -20,8 +20,8 @@ exponentiation per value, which stays finite at large parameters; CDFs
 are direct sums from the nearest tail, clamped to [0, 1].  Every log
 binomial coefficient, at every size, is one exactly-rounded sum of logs
 (``log_choose``), so H(22000, 11000, 10500) sums to 1 within the mass
-slack.  The lemma 4
-and theorem 5 tail cut-offs are exact for their binary64 inputs.
+slack.  The lemma 4 and theorem 5 tail cut-offs are exact for their
+binary64 inputs.
 """
 
 from __future__ import annotations

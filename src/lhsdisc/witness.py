@@ -94,13 +94,6 @@ class WitnessStep:
     excess: float
 
 
-def _round_down(num: int, den: int) -> float:
-    """Largest double at or below num / den, for den > 0."""
-    q = num / den  # int true division rounds correctly, to nearest
-    a, b = q.as_integer_ratio()
-    return math.nextafter(q, -math.inf) if a * den > num * b else q
-
-
 @dataclass
 class WitnessTrace:
     """Full record of the construction on one point set, built once when
@@ -171,6 +164,13 @@ def _shrinks(k: int, w_count: int, y_count: int, n: int) -> bool:
     """
     gap = k * w_count - y_count * n
     return gap >= 0 and 4 * gap * gap >= k * w_count * n
+
+
+def _round_down(num: int, den: int) -> float:
+    """Largest double at or below num / den, for den > 0."""
+    q = num / den  # int true division rounds correctly, to nearest
+    a, b = q.as_integer_ratio()
+    return math.nextafter(q, -math.inf) if a * den > num * b else q
 
 
 def build_witness(ps: PointSet, sc: SlabConstant) -> WitnessTrace:
