@@ -19,15 +19,18 @@ lexicographically smallest maximizer; it is closed-sided when its closed
 surplus is at least its open deficiency.  The lower estimate scores its
 corners through the search without opening the frontier, so the same rule
 picks its box among the corners it examines, and that box is a grid corner.
-A caller's box [0, y) enters it as two grid corners, and needs no value of
-its own.  Its floor corner f takes, per axis, the largest grid value at or
-below y_j, and its ceiling corner c the smallest at or above it.  No
-coordinate lies in (f_j, y_j] or [y_j, c_j), so f has y's closed count and
-c its open count, while vol(f) <= vol(y) <= vol(c) in binary64: f's closed
-surplus is at least y's, and c's open deficiency at least y's.  Where no
-grid value lies at or below y_j, y's closed count is 0 and its surplus at
-most 0, which no corner's value is below (the open share is at most the
-closed one), so grid index 0 stands in.
+Its ``budget`` corners come a block at a time: the first block random,
+each later one opening with the pending corners on the grid lines through
+the best corner so far, so it climbs from the best corner found along
+each axis in turn.  A caller's box [0, y) enters it as two grid corners,
+and needs no value of its own.  Its floor corner f takes, per axis, the
+largest grid value at or below y_j, and its ceiling corner c the smallest
+at or above it.  No coordinate lies in (f_j, y_j] or [y_j, c_j), so f has
+y's closed count and c its open count, while vol(f) <= vol(y) <= vol(c)
+in binary64: f's closed surplus is at least y's, and c's open deficiency
+at least y's.  Where no grid value lies at or below y_j, y's closed count
+is 0 and its surplus at most 0, which no corner's value is below (the
+open share is at most the closed one), so grid index 0 stands in.
 
 In every dimension the kernel is a branch and bound over boxes of grid
 indices (Thiemard, "An algorithm to compute bounds for the star
@@ -745,20 +748,29 @@ def star_discrepancy_lower_estimate(
     over the boxes anchored at each point, the floor and ceiling grid
     corners of each caller-supplied box (``_CornerScorer.corners``), whose
     values are at least the box's own (see the module), and ``budget``
-    random corners drawn from the critical grid: with L the largest grid
-    size, one ``randbelow(L)`` per axis and corner in row-major order,
-    mapped to index ``pick * len(g) // L`` of axis grid g (the pick itself
-    when every axis has L values).
+    further grid corners, B at a time (B the scorer's block).
+
+    The first block is random corners: with L the largest grid size, one
+    ``randbelow(L)`` per axis and corner in row-major order, mapped to
+    index ``pick * len(g) // L`` of axis grid g (the pick itself when
+    every axis has L values).  Each later block opens with the pending
+    line corners through the best corner c so far, and fills the rest
+    with random corners.  The line corners are, for each axis j in turn,
+    every grid index on j with the other axes held at c's; they start
+    over only when c changes, and run on across blocks.  A block's share
+    is made from its positions in that sequence, so memory does not grow
+    with the grid or the budget; the module gives the figures.
 
     Every corner is given by its grid indices and scored a block at a time
     by a box search that never opens its frontier (``_BoxSearch.seed``), so
     the exact kernel's rule picks the box: of equal values the
     lexicographically smallest corner examined, whatever the order of the
-    points or of the boxes.  For a fixed seed the random corners form a
-    prefix stream, so a larger budget never lowers the value, though a tie
-    may move the box.  They are drawn a block at a time
-    (``Stream.randbelow_block``), so memory does not grow with the budget;
-    the module gives the figures.
+    points or of the boxes.  So c, and with it every block, does not
+    depend on the order of the rows.  A block's corners depend only on the
+    blocks before it, and for a fixed seed the random corners form a
+    prefix stream: a larger budget scores a superset of the corners, so it
+    never lowers the value, though a tie may move the box.  A budget of at
+    most B scores random corners only.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -771,14 +783,26 @@ def star_discrepancy_lower_estimate(
     if boxes:
         search.seed(scorer.corners(np.array([box.upper for box in boxes])))
     sizes = scorer.top + 1
+    ends = sizes.cumsum()  # line i lies on axis j where ends[j - 1] <= i < ends[j]
     largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
+    center, line = search.corner, 0
     for done in range(0, budget, scorer.block):
         rows = min(scorer.block, budget - done)
-        picks = stream.randbelow_block(largest, rows * ps.dim).reshape(rows, ps.dim)
+        if search.corner != center:  # a new best corner: its lines from the first
+            center, line = search.corner, 0
+        k = min(rows, int(ends[-1]) - line) if done else 0
+        picks = stream.randbelow_block(largest, (rows - k) * ps.dim).reshape(-1, ps.dim)
         if sizes.min() < largest:  # else the map is the identity
             picks *= sizes
             picks //= largest
+        if k:  # the block opens with lines line, ..., line + k - 1
+            at = np.arange(line, line + k)
+            axes = ends.searchsorted(at, "right")
+            lines = np.repeat([center], k, axis=0)
+            lines[np.arange(k), axes] = at - ends[axes] + sizes[axes]
+            picks = np.concatenate((lines, picks))
+            line += k
         search.seed(picks.T)
     return search.value, scorer.box(search.corner)
 
@@ -794,7 +818,8 @@ def star_discrepancy(ps: PointSet, method: str = "exact", budget: int | None = N
     exact: ``budget`` guards the grid size (default 10**9).  exact2d: d = 2,
     no budget.  estimate: a lower bound (``closed_sided`` None) on a grid
     corner, from the points' corners, the grid corners of ``extra_boxes``
-    and ``budget`` random corners (default 1000) drawn from ``seed``.
+    and ``budget`` more grid corners (default 1000): random ones drawn from
+    ``seed``, and past the first block the grid lines through the best.
     Raises MethodError for an unknown method or a budget given to exact2d.
     Each kernel is looked up on this module at call time, so a wrapper set
     on it sees the calls made through here.

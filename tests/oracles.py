@@ -11,11 +11,12 @@ kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
 last axis, and the O(N^2) two-dimensional insertion sweep.  The box search
 that replaced them must agree with them bit for bit (value, argmax box and
 side).  The reference lower estimate is the earlier box-at-a-time
-estimator, with two changes: its tie rule is the exact kernel's (of equal
-values the lexicographically smallest grid corner wins), and a
+estimator, with three changes: its tie rule is the exact kernel's (of
+equal values the lexicographically smallest grid corner wins), a
 caller-supplied box enters as its two dominating grid corners, found by
-masking each axis's grid.  The block-scoring estimator must return
-the same value and box.
+masking each axis's grid, and past the first block of corners it walks
+the grid lines through its best corner before drawing random ones.  The
+block-scoring estimator must return the same value and box.
 """
 
 from __future__ import annotations
@@ -262,18 +263,25 @@ def reference_star_discrepancy_lower_estimate(
     budget: int,
     seed: int = 0,
     extra_boxes: Sequence[AnchoredBox] = (),
+    *,
+    block: int,
 ) -> tuple[float, AnchoredBox]:
     """Certified lower bound for the star discrepancy.
 
     Takes the best local discrepancy (open and closed-limit evaluations)
     over the grid corners of any caller-supplied boxes, the boxes anchored
-    at each point, and ``budget`` random corners drawn from the critical
-    grid.  A caller's box [0, y) enters as two grid corners: per axis the
-    largest grid value at or below y_j (the smallest grid value if there is
-    none), and the smallest at or above it.  Of equal values the
-    lexicographically smallest corner wins.  For a fixed seed the random
-    corners form a prefix stream, so a larger budget never lowers the
-    result.
+    at each point, and ``budget`` corners of the critical grid, ``block``
+    at a time.  A caller's box [0, y) enters as two grid corners: per axis
+    the largest grid value at or below y_j (the smallest grid value if
+    there is none), and the smallest at or above it.  Of equal values the
+    lexicographically smallest corner wins.
+
+    The first block is random corners.  Each later block first takes the
+    pending line corners through the best corner so far (axis by axis,
+    every grid value on that axis with the others held at the best
+    corner's), then random corners; the lines start over whenever the best
+    corner has changed.  For a fixed seed the random corners form a prefix
+    stream, so a larger budget never lowers the result.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -301,9 +309,20 @@ def reference_star_discrepancy_lower_estimate(
 
     largest = max(len(g) for g in grids)
     stream = Stream(derive(seed, "lower-estimate"))
-    for _ in range(budget):
-        corner = np.array([g[stream.randbelow(largest) * len(g) // largest] for g in grids])
-        consider(AnchoredBox(corner))
+    center, lines = None, []
+    for done in range(0, budget, block):
+        rows = min(block, budget - done)
+        best = [int(np.searchsorted(g, y)) for g, y in zip(grids, best_box.upper)]
+        if done and best != center:
+            center = best
+            lines = [(j, i) for j, g in enumerate(grids) for i in range(len(g))]
+        taken, lines = lines[:rows], lines[rows:]
+        for j, i in taken:
+            consider(AnchoredBox(np.array([g[i if axis == j else c]
+                                           for axis, (g, c) in enumerate(zip(grids, center))])))
+        for _ in range(rows - len(taken)):
+            corner = np.array([g[stream.randbelow(largest) * len(g) // largest] for g in grids])
+            consider(AnchoredBox(corner))
 
     assert best_box is not None
     return float(best_val), best_box

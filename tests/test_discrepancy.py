@@ -774,6 +774,14 @@ class TestLowerEstimate:
         est5, _ = star_discrepancy_lower_estimate(ps, budget=5, seed=7)
         est50, _ = star_discrepancy_lower_estimate(ps, budget=50, seed=7)
         assert est50 >= est5
+        # Past the first block the line corners share the blocks with the
+        # random ones.
+        for ps in (lhs_sample(128, 3, derive(31, "monotone-128x3")),
+                   lhs_sample(3200, 2, derive(31, "monotone-3200x2"))):
+            rows = block_rows(ps)
+            estimates = [star_discrepancy_lower_estimate(ps, budget, seed=7)[0]
+                         for budget in (rows - 1, rows, rows + 1, 3 * rows)]
+            assert estimates == sorted(estimates)
 
     def test_extra_boxes_are_considered(self):
         ps = pset([0.0, 0.0])
@@ -799,7 +807,13 @@ def row_order_sets():
                               id=f"uniform-{d}d")]
         sets += [pytest.param(lattice_pointset(stream, n, d, m), id=f"lattice-{n}x{d}-{m}")
                  for n, m in ((40, 5), (12, 2))]
-    return sets
+    # The sets above reach the exact value within three blocks of corners,
+    # and their line corners fit in one block, which hides the order the
+    # blocks are filled in; these two do neither.
+    return sets + [pytest.param(lhs_sample(400, 3, derive(100, "order-lhs-400x3")),
+                                id="lhs-400x3"),
+                   pytest.param(uniform_sample(3200, 2, derive(100, "order-uniform-3200x2")),
+                                id="uniform-3200x2")]
 
 
 class TestRowOrder:
@@ -813,11 +827,12 @@ class TestRowOrder:
         stream = Stream(derive(100, "order"))
         n = ps.n_points
         exact = star_discrepancy_exact(ps)
-        estimates = [star_discrepancy(ps, "estimate", budget, seed=3) for budget in (1, 50, 3000)]
+        budgets = (1, 50, 3000, 3 * block_rows(ps))
+        estimates = [star_discrepancy(ps, "estimate", budget, seed=3) for budget in budgets]
         for order in (stream.permutation(n), stream.permutation(n), np.arange(n)[::-1]):
             moved = PointSet(ps.coords[order])
             assert_bit_equal(star_discrepancy_exact(moved), exact)
-            for budget, estimate in zip((1, 50, 3000), estimates):
+            for budget, estimate in zip(budgets, estimates):
                 assert_bit_equal(star_discrepancy(moved, "estimate", budget, seed=3), estimate)
 
     @pytest.mark.parametrize("ps", [p for p in row_order_sets() if p.values[0].dim == 1])
@@ -834,7 +849,7 @@ class TestRowOrder:
 def assert_estimate_bit_equal(ps, budget, seed=0, extra_boxes=()):
     value, found = star_discrepancy_lower_estimate(ps, budget, seed, extra_boxes)
     ref_value, ref_found = reference_star_discrepancy_lower_estimate(
-        ps, budget, seed, extra_boxes)
+        ps, budget, seed, extra_boxes, block=block_rows(ps))
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert found.upper.tobytes() == ref_found.upper.tobytes()
     return value, found
@@ -863,29 +878,33 @@ class TestLowerEstimateAgainstScalarEstimator:
     def test_budgets_around_the_block_size(self, n, d):
         ps = lhs_sample(n, d, derive(90, f"block-{n}-{d}"))
         rows = block_rows(ps)
-        for budget in (rows - 1, rows, rows + 1):
+        for budget in (rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows):
             assert_estimate_bit_equal(ps, budget, seed=budget)
 
     @pytest.mark.parametrize("sampler", [lhs_sample, uniform_sample])
     def test_benchmark_shape(self, sampler):
-        # d = 3, N = 128, budget 12000: 24 blocks of random corners.
+        # d = 3, N = 128, budget 12000: 6 blocks of 2048 corners, the first
+        # random, the others opening with the line corners of the best.
         ps = sampler(128, 3, derive(91, "shape"))
         assert_estimate_bit_equal(ps, 12000, seed=4)
 
     @pytest.mark.parametrize("sampler,value,upper", [
-        (lhs_sample, "0x1.0539478db701cp-4",
-         ["0x1.d80c3eb34909ap-2", "0x1.271e249532e48p-1", "0x1.fd5fe8868c55ep-1"]),
-        (uniform_sample, "0x1.9b48ec8332958p-4",
-         ["0x1.a5e4e43d87b5fp-1", "0x1.5e92d1d2e9d6dp-1", "0x1.f64fd836f8bacp-1"]),
+        (lhs_sample, "0x1.2d8ad7cf04bb0p-4",
+         ["0x1.fb9cf87b38ba5p-2", "0x1.21e374ebeb581p-1", "0x1.974474cce8b15p-1"]),
+        (uniform_sample, "0x1.b38688e9c1970p-4",
+         ["0x1.e74d3c6237d30p-1", "0x1.4e9499d134580p-1", "0x1.0000000000000p+0"]),
     ])
     def test_benchmark_shape_pinned(self, sampler, value, upper):
         # Every axis of these sets has the same grid size, so the random
-        # corners are the draws of one randbelow per axis and corner; the
-        # winning boxes are random corners, not point boxes.
+        # corners are the draws of one randbelow per axis and corner.  The
+        # line corners climb to the exact value, which both estimates reach.
         ps = sampler(128, 3, derive(91, "shape"))
         found_value, found = star_discrepancy_lower_estimate(ps, 12000, 4)
         assert found_value.hex() == value
         assert [x.hex() for x in found.upper.tolist()] == upper
+        ref_value, _ = reference_star_discrepancy_lower_estimate(ps, 12000, 4,
+                                                                 block=block_rows(ps))
+        assert found_value == ref_value == star_discrepancy_exact(ps).value
 
     def test_extra_boxes_tie_and_win(self):
         ps = lhs_sample(40, 2, derive(92, "extra"))
@@ -1054,22 +1073,26 @@ class TestLowerEstimateAgainstScalarEstimator:
         # words per point.
         # Bitset tables would take d * N * 4096 / 8 = 20 MB, and unchunked
         # ones N**2 / 8 = 50 MB per axis.
+        # Past the first block the line corners through the best corner,
+        # d (N + 1) of them, are made a block at a time, so three blocks
+        # keep the bound.
         n, d = 20000, 2
         ps = uniform_sample(n, d, derive(95, "linear-memory"))
-        star_discrepancy_lower_estimate(pset([0.5]), 1)  # first-call imports
-        tracemalloc.start()
-        try:
-            star_discrepancy_lower_estimate(ps, 100, seed=1)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         sizes = [min(n - s, discrepancy._CHUNK_POINTS)
                  for s in range(0, n, discrepancy._CHUNK_POINTS)]
         planes = sum((s + 1) * ((s // 64 + 5) & -4) * 2 + (s // 64 + 1) * 65 * 8 + 8 * (n + 2)
                      for s in sizes)
         workspace = (17 * d + 67) * block_rows(ps)
-        assert peak < planes + 12 * d * n + workspace + 32 * n
-        assert current < 1 << 16
+        star_discrepancy_lower_estimate(pset([0.5]), 1)  # first-call imports
+        for budget in (100, 3 * block_rows(ps)):
+            tracemalloc.start()
+            try:
+                star_discrepancy_lower_estimate(ps, budget, seed=1)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < planes + 12 * d * n + workspace + 32 * n
+            assert current < 1 << 16
 
     @pytest.mark.parametrize("d", [40, 64])
     def test_memory_does_not_grow_with_the_corners_of_a_box(self, d):
