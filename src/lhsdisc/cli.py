@@ -194,8 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=discrepancy.METHODS, default="exact")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="exact: grid-evaluation guard (default 1e9); "
-                   "estimate: grid corners scored beyond the points' own, random and "
-                   "along the grid lines through the best (default 1000)")
+                   "estimate: grid corners scored beyond the points' own, a block at a "
+                   "time: random ones, and past the first block the grid lines through "
+                   "up to max(1, block // sum of grid sizes) of the best corners, each "
+                   "climb going on where the last block stopped it (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="seed for estimate (default 0)")
     p.set_defaults(func=cmd_stardisc)
 

@@ -20,17 +20,25 @@ surplus is at least its open deficiency.  The lower estimate scores its
 corners through the search without opening the frontier, so the same rule
 picks its box among the corners it examines, and that box is a grid corner.
 Its ``budget`` corners come a block at a time: the first block random,
-each later one opening with the pending corners on the grid lines through
-the best corner so far, so it climbs from the best corner found along
-each axis in turn.  A caller's box [0, y) enters it as two grid corners,
-and needs no value of its own.  Its floor corner f takes, per axis, the
-largest grid value at or below y_j, and its ceiling corner c the smallest
-at or above it.  No coordinate lies in (f_j, y_j] or [y_j, c_j), so f has
-y's closed count and c its open count, while vol(f) <= vol(y) <= vol(c)
-in binary64: f's closed surplus is at least y's, and c's open deficiency
-at least y's.  Where no grid value lies at or below y_j, y's closed count
-is 0 and its surplus at most 0, which no corner's value is below (the
-open share is at most the closed one), so grid index 0 stands in.
+each later one opening with the pending line corners of up to
+W = max(1, B // L) centers, L the sum of the grid sizes, so that W whole
+climbs fit in a block.  A center's line corners hold its grid indices on
+all axes but one and take every grid index on that one, axis by axis;
+they resume where a block stopped them.  The centers are the pool: the W
+best corners whose lines are not all scored, drawn up after each block
+from the last pool and the block's corners, by value, ties to the
+lexicographically smallest corner.  Besides a block of corners, the
+estimate keeps O(W) candidates, the pool and a block's best, and one
+record per center climbed, its lines scored.  A caller's box [0, y)
+enters it as two grid corners, and needs no value of its own.  Its floor
+corner f takes, per axis, the largest grid value at or below y_j, and its
+ceiling corner c the smallest at or above it.  No coordinate lies in
+(f_j, y_j] or [y_j, c_j), so f has y's closed count and c its open count,
+while vol(f) <= vol(y) <= vol(c) in binary64: f's closed surplus is at
+least y's, and c's open deficiency at least y's.  Where no grid value
+lies at or below y_j, y's closed count is 0 and its surplus at most 0,
+which no corner's value is below (the open share is at most the closed
+one), so grid index 0 stands in.
 
 In every dimension the kernel is a branch and bound over boxes of grid
 indices (Thiemard, "An algorithm to compute bounds for the star
@@ -85,9 +93,10 @@ a radix sort, and int32 keys stay on an axis of 2^16 or more grid values.
 
 A chunk works in one workspace, allocated for a block of B corners and,
 once the frontier opens, for C children (the lower estimate never opens
-it, so its workspace stays one block's); ``_CornerScorer`` and
-``_BoxSearch`` list its arrays.  Every per-chunk operation writes into
-views of it with ``out=``.  It takes 17 d + 43 bytes per child plus the
+it, so its workspace stays one block's, and it adds the grid indices of
+a block of corners, 8 d bytes each, and the random draws that fill it);
+``_CornerScorer`` and ``_BoxSearch`` list its arrays.  Every per-chunk
+operation writes into views of it with ``out=``.  It takes 17 d + 43 bytes per child plus the
 count's scratch: 56 bytes per child at d = 2 (266 KiB in all), and for
 d >= 3 16 bytes per child and one chunk of points' AND rows and
 popcounts (144 KiB when C = B).  The grids, shifted by one, and the
@@ -104,7 +113,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -618,12 +627,19 @@ class _BoxSearch:
         self.boxes_bounded = 0
         self.corners_scored = 0
 
-    def seed(self, corners: np.ndarray) -> None:
-        """Scores ``corners`` (grid indices, d x k) a block at a time."""
+    def seed(self, corners: np.ndarray, keep: int = 1,
+             offer: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None
+             ) -> None:
+        """Scores ``corners`` (grid indices, d x k) a block at a time, and
+        hands ``offer`` each block's corners, their values and the
+        positions of the block's ``keep`` best (``_score``)."""
         block = self.scorer.block
         for s in range(0, corners.shape[1], block):
             part = corners[:, s:s + block]
-            self._score(part, *self.scorer.values(part))
+            scored = self.scorer.values(part)
+            best = self._score(part, *scored, min(keep, part.shape[1]))
+            if offer:
+                offer(part, scored[0], best)
 
     def run(self) -> None:
         """The seeding pass over the points' own corners, then the frontier."""
@@ -720,20 +736,32 @@ class _BoxSearch:
         return boxes.take(inner.take(order), axis=2), bound
 
     def _score(self, corners: np.ndarray, values: np.ndarray, closed: np.ndarray,
-               opened: np.ndarray) -> None:
+               opened: np.ndarray, keep: int = 1) -> np.ndarray:
         """Keeps the lexicographically smallest of the corners (grid indices
         per column) of the largest value, given their values, closed
-        surpluses and open deficiencies."""
-        top = float(values.max())
+        surpluses and open deficiencies; returns their ``keep`` best
+        (``_best``)."""
+        best = _best(corners, values, keep)
+        i = best[0]
+        top = float(values[i])
         self.floor = max(self.floor, top)
-        if top < self.value:
-            return
-        ties = (values == top).nonzero()[0]
-        i = ties[np.lexsort(corners[::-1, ties])[0]]
         corner = corners[:, i].tolist()
-        if top > self.value or corner < self.corner:
+        if top > self.value or top == self.value and corner < self.corner:
             self.value, self.corner = top, corner
             self.closed = bool(closed[i] >= opened[i])
+        return best
+
+
+def _best(corners: np.ndarray, values: np.ndarray, keep: int) -> np.ndarray:
+    """The positions of the corners (grid indices per column) whose values
+    are at least the ``keep``-th largest of ``values``, best first: by
+    value, ties to the lexicographically smallest corner."""
+    k = values.size
+    cut = values.max() if keep == 1 else np.partition(values, k - keep)[k - keep]
+    at = (values >= cut).nonzero()[0]
+    if at.size > 1:
+        at = at.take(np.lexsort((*corners[::-1].take(at, axis=1), -values.take(at))))
+    return at
 
 
 def star_discrepancy_lower_estimate(
@@ -750,24 +778,32 @@ def star_discrepancy_lower_estimate(
     values are at least the box's own (see the module), and ``budget``
     further grid corners, B at a time (B the scorer's block).
 
-    The first block is random corners: with L the largest grid size, one
-    ``randbelow(L)`` per axis and corner in row-major order, mapped to
-    index ``pick * len(g) // L`` of axis grid g (the pick itself when
-    every axis has L values).  Each later block opens with the pending
-    line corners through the best corner c so far, and fills the rest
-    with random corners.  The line corners are, for each axis j in turn,
-    every grid index on j with the other axes held at c's; they start
-    over only when c changes, and run on across blocks.  A block's share
-    is made from its positions in that sequence, so memory does not grow
-    with the grid or the budget; the module gives the figures.
+    The first block is random corners: with M the largest grid size, one
+    ``randbelow(M)`` per axis and corner in row-major order, mapped to
+    index ``pick * len(g) // M`` of axis grid g (the pick itself when
+    every axis has M values).  Each later block opens with the pending
+    line corners of up to W = max(1, B // L) centers, L the sum of the
+    grid sizes, and fills the rest with random corners.  A center's line
+    corners are, for each axis j in turn, every grid index on j with the
+    other axes held at the center's: L corners, which resume where the
+    last block stopped them.  The centers are the pool, best first: the
+    W best corners whose lines are not all scored, of the pool and the
+    corners scored since it was last drawn up, by value, ties to the
+    lexicographically smallest corner.  The pool is drawn up after the
+    points' corners, the boxes' corners and each block; so where W = 1 the
+    best corner climbs until a better one turns up or its lines are all
+    scored, and the next pool's best follows.  Memory holds a block's
+    corners, the pool and one record per center climbed (its lines
+    scored): it does not grow with the grid, and with the budget only by
+    a record per climb of L corners; the module gives the figures.
 
     Every corner is given by its grid indices and scored a block at a time
     by a box search that never opens its frontier (``_BoxSearch.seed``), so
     the exact kernel's rule picks the box: of equal values the
     lexicographically smallest corner examined, whatever the order of the
-    points or of the boxes.  So c, and with it every block, does not
-    depend on the order of the rows.  A block's corners depend only on the
-    blocks before it, and for a fixed seed the random corners form a
+    points or of the boxes.  So the pool, and with it every block, does
+    not depend on the order of the rows.  A block's corners depend only on
+    the blocks before it, and for a fixed seed the random corners form a
     prefix stream: a larger budget scores a superset of the corners, so it
     never lowers the value, though a tie may move the box.  A budget of at
     most B scores random corners only.
@@ -779,31 +815,81 @@ def star_discrepancy_lower_estimate(
         _require_same_dim(ps, box)
     search = _BoxSearch(*_grids(ps.coords))
     scorer = search.scorer
-    search.seed(scorer.ranks.T)
-    if boxes:
-        search.seed(scorer.corners(np.array([box.upper for box in boxes])))
     sizes = scorer.top + 1
-    ends = sizes.cumsum()  # line i lies on axis j where ends[j - 1] <= i < ends[j]
+    ends = sizes.cumsum().tolist()  # line i lies on axis j where ends[j - 1] <= i < ends[j]
+    firsts = [0] + ends[:-1]
+    total = ends[-1]
+    d = ps.dim
+    width = max(1, scorer.block // total)
+    pool: list[tuple[float, tuple[int, ...]]] = []  # (-value, corner), best first
+    reached: dict[tuple[int, ...], int] = {}  # per center, its lines scored
+
+    def offer(corners: np.ndarray, values: np.ndarray, best: np.ndarray) -> None:
+        # The pool's W best of itself and the block's unclimbed corners,
+        # which ``best`` holds once it holds W of them; else a wider cut.
+        nonlocal pool
+        while True:
+            fresh, last = [], None
+            for entry in zip((-values.take(best)).tolist(),
+                             map(tuple, corners.take(best, axis=1).T.tolist())):
+                if entry != last and reached.get(entry[1], 0) < total:
+                    fresh.append(entry)
+                    if len(fresh) == width:
+                        break
+                last = entry
+            if len(fresh) == width or best.size == values.size:
+                break
+            best = _best(corners, values, min(4 * best.size, values.size))
+        pool = sorted(set(pool).union(fresh))[:width]
+
+    def climb(out: np.ndarray) -> int:
+        # Writes the pending line corners of the pool's centers into the
+        # columns of ``out`` and returns how many it wrote.  Centers with
+        # the same lines pending (all of them, mostly) are written together.
+        nonlocal pool
+        runs: list[tuple[int, int, list[tuple[int, ...]]]] = []
+        k = 0
+        for _, corner in pool:
+            start = reached.get(corner, 0)
+            count = min(out.shape[1] - k, total - start)
+            if count <= 0:
+                break
+            reached[corner] = start + count
+            if runs and runs[-1][:2] == (start, count):
+                runs[-1][2].append(corner)
+            else:
+                runs.append((start, count, [corner]))
+            k += count
+        pool = [entry for entry in pool if reached.get(entry[1], 0) < total]
+        k = 0
+        for start, count, centers in runs:
+            part = out[:, k:k + len(centers) * count].reshape(d, len(centers), count)
+            part[:] = np.array(centers).T[:, :, None]
+            for j, (first, end) in enumerate(zip(firsts, ends)):  # the lines on axis j
+                lo, hi = max(start, first), min(start + count, end)
+                if lo < hi:
+                    part[j, :, lo - start:hi - start] = np.arange(lo - first, hi - first)
+            k += len(centers) * count
+        return k
+
+    # A block's W best unclimbed corners lie among its 8 W best, mostly: the
+    # centers recur on their own lines, and the lines of two centers meet.
+    keep = 8 * width
+    search.seed(scorer.ranks.T, keep, offer)
+    if boxes:
+        search.seed(scorer.corners(np.array([box.upper for box in boxes])), keep, offer)
     largest = int(sizes.max())
     stream = Stream(derive(seed, "lower-estimate"))
-    center, line = search.corner, 0
+    block = np.empty((d, min(scorer.block, budget)), dtype=np.int64)  # lines first
     for done in range(0, budget, scorer.block):
         rows = min(scorer.block, budget - done)
-        if search.corner != center:  # a new best corner: its lines from the first
-            center, line = search.corner, 0
-        k = min(rows, int(ends[-1]) - line) if done else 0
-        picks = stream.randbelow_block(largest, (rows - k) * ps.dim).reshape(-1, ps.dim)
+        k = climb(block[:, :rows]) if done else 0
+        picks = stream.randbelow_block(largest, (rows - k) * d).reshape(-1, d)
         if sizes.min() < largest:  # else the map is the identity
             picks *= sizes
             picks //= largest
-        if k:  # the block opens with lines line, ..., line + k - 1
-            at = np.arange(line, line + k)
-            axes = ends.searchsorted(at, "right")
-            lines = np.repeat([center], k, axis=0)
-            lines[np.arange(k), axes] = at - ends[axes] + sizes[axes]
-            picks = np.concatenate((lines, picks))
-            line += k
-        search.seed(picks.T)
+        block[:, k:rows] = picks.T
+        search.seed(block[:, :rows], keep, offer)
     return search.value, scorer.box(search.corner)
 
 
@@ -819,7 +905,8 @@ def star_discrepancy(ps: PointSet, method: str = "exact", budget: int | None = N
     no budget.  estimate: a lower bound (``closed_sided`` None) on a grid
     corner, from the points' corners, the grid corners of ``extra_boxes``
     and ``budget`` more grid corners (default 1000): random ones drawn from
-    ``seed``, and past the first block the grid lines through the best.
+    ``seed``, and past the first block the grid lines through up to
+    max(1, B // L) of the best corners (``star_discrepancy_lower_estimate``).
     Raises MethodError for an unknown method or a budget given to exact2d.
     Each kernel is looked up on this module at call time, so a wrapper set
     on it sees the calls made through here.

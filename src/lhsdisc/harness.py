@@ -86,11 +86,12 @@ _CONFIG_PARSERS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat `key = value` experiment-config format."""
+    """Parse the flat `key = value` experiment-config format.  A `#` starts
+    a comment that runs to the end of its line; no key or value holds one."""
     fields: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")

@@ -11,11 +11,13 @@ kept verbatim: the critical-grid DFS with a sort/searchsorted scan of the
 last axis, and the O(N^2) two-dimensional insertion sweep.  The box search
 that replaced them must agree with them bit for bit (value, argmax box and
 side).  The reference lower estimate is the earlier box-at-a-time
-estimator, with three changes: its tie rule is the exact kernel's (of
+estimator, with four changes: its tie rule is the exact kernel's (of
 equal values the lexicographically smallest grid corner wins), a
 caller-supplied box enters as its two dominating grid corners, found by
-masking each axis's grid, and past the first block of corners it walks
-the grid lines through its best corner before drawing random ones.  The
+masking each axis's grid, past the first block of corners it walks the
+grid lines through the best corners before drawing random ones, and it
+counts a block of boxes against all the points at once (``box_counts``,
+which the oracle tests check against the library's direct counts).  The
 block-scoring estimator must return the same value and box.
 """
 
@@ -247,15 +249,25 @@ def reference_star_discrepancy_exact_2d(ps: PointSet) -> DiscrepancyCertificate:
     return DiscrepancyCertificate(best.value, AnchoredBox(np.array(best.upper)), best.closed)
 
 
-def _candidate_value(ps: PointSet, box: AnchoredBox) -> tuple[float, bool]:
-    # Max of the open evaluation and the closed-limit surplus; each is a
-    # valid lower bound for the star discrepancy.
-    vol = box_volume(box)
-    open_val = abs(count_open(ps, box) / ps.n_points - vol)
-    closed_val = count_closed(ps, box) / ps.n_points - vol
-    if closed_val >= open_val:
-        return closed_val, True
-    return open_val, False
+def box_counts(coords: np.ndarray, uppers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row y of ``uppers`` (k x d), the points with every x_j < y_j, those
+    with every x_j <= y_j, and the volume of [0, y): every box compared with
+    every point on every axis at once (k x d x N, a slice of boxes at a time
+    to bound the memory), and each volume multiplied left to right over the
+    axes."""
+    n, d = coords.shape
+    columns = np.ascontiguousarray(coords.T)[None]
+    opened = np.empty(len(uppers), dtype=np.int64)
+    closed = np.empty(len(uppers), dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, n * d))
+    for s in range(0, len(uppers), step):
+        y = uppers[s:s + step, :, None]
+        opened[s:s + step] = (columns < y).all(axis=1).sum(axis=1)
+        closed[s:s + step] = (columns <= y).all(axis=1).sum(axis=1)
+    vols = np.ones(len(uppers))
+    for j in range(d):
+        vols = vols * uppers[:, j]
+    return opened, closed, vols
 
 
 def reference_star_discrepancy_lower_estimate(
@@ -265,67 +277,89 @@ def reference_star_discrepancy_lower_estimate(
     extra_boxes: Sequence[AnchoredBox] = (),
     *,
     block: int,
+    blocks: list | None = None,
 ) -> tuple[float, AnchoredBox]:
     """Certified lower bound for the star discrepancy.
 
-    Takes the best local discrepancy (open and closed-limit evaluations)
-    over the grid corners of any caller-supplied boxes, the boxes anchored
-    at each point, and ``budget`` corners of the critical grid, ``block``
-    at a time.  A caller's box [0, y) enters as two grid corners: per axis
-    the largest grid value at or below y_j (the smallest grid value if
-    there is none), and the smallest at or above it.  Of equal values the
-    lexicographically smallest corner wins.
+    Takes the best local discrepancy over the grid corners of any
+    caller-supplied boxes, the boxes anchored at each point, and ``budget``
+    corners of the critical grid, ``block`` at a time.  A corner's value
+    is the larger of the closed surplus count_closed/N - vol and the open
+    |count_open/N - vol|.  A caller's box [0, y) enters as two grid
+    corners: per axis the largest grid value at or below y_j (the smallest
+    grid value if there is none), and the smallest at or above it.  Of
+    equal values the lexicographically smallest corner wins.
 
     The first block is random corners.  Each later block first takes the
-    pending line corners through the best corner so far (axis by axis,
-    every grid value on that axis with the others held at the best
-    corner's), then random corners; the lines start over whenever the best
-    corner has changed.  For a fixed seed the random corners form a prefix
-    stream, so a larger budget never lowers the result.
+    pending line corners of up to W = max(1, block // L) centers, L the
+    sum of the grid sizes, then random corners.  A center's line corners
+    are, axis by axis, every grid value on that axis with the others held
+    at the center's, and they go on from where an earlier block stopped
+    them.  The centers are the pool, best first: after the points' and
+    boxes' corners and after each block, the W best corners whose lines
+    are not all taken, of the pool and the corners just scored, ties to
+    the lexicographically smallest.  For a fixed seed the random corners
+    form a prefix stream, so a larger budget never lowers the result.
+    Each block's corners (grid indices), in the order taken, are appended
+    to ``blocks`` when it is given.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    best_val = -np.inf
-    best_box: AnchoredBox | None = None
-
-    def consider(box: AnchoredBox) -> None:
-        nonlocal best_val, best_box
-        val, _ = _candidate_value(ps, box)
-        if val > best_val or (val == best_val
-                              and box.upper.tolist() < best_box.upper.tolist()):
-            best_val = val
-            best_box = box
-
     grids = _grids(ps.coords)
+    sizes = [len(g) for g in grids]
+    lines = [(j, i) for j, size in enumerate(sizes) for i in range(size)]
+    width = max(1, block // len(lines))
+    best: list = [-np.inf, None]  # value and grid corner (grid indices)
+    pool: list = []  # (value, grid corner) of the centers, best first
+    reached: dict = {}  # per center, its line corners taken
+
+    def score(corners: list[tuple[int, ...]]) -> None:
+        uppers = np.array([[g[i] for g, i in zip(grids, c)] for c in corners])
+        opened, closed, vols = box_counts(ps.coords, uppers)
+        open_vals = np.abs(opened / ps.n_points - vols)
+        closed_vals = closed / ps.n_points - vols
+        candidates = set(pool)
+        for corner, o, c in zip(corners, open_vals.tolist(), closed_vals.tolist()):
+            value = c if c >= o else o
+            if value > best[0] or (value == best[0] and corner < best[1]):
+                best[:] = value, corner
+            if reached.get(corner, 0) < len(lines):
+                candidates.add((value, corner))
+        pool[:] = sorted(candidates, key=lambda e: (-e[0], e[1]))[:width]
+
+    def index(upper) -> tuple[int, ...]:
+        return tuple(int(np.searchsorted(g, y)) for g, y in zip(grids, upper))
+
+    corners = []
     for box in extra_boxes:
         if box.dim != ps.dim:
             raise DimensionMismatch(f"point set has dim {ps.dim}, box has dim {box.dim}")
-        below = [g[g <= y].max(initial=g[0]) for g, y in zip(grids, box.upper)]
-        above = [g[g >= y].min() for g, y in zip(grids, box.upper)]
-        consider(AnchoredBox(np.array(below)))
-        consider(AnchoredBox(np.array(above)))
-    for row in ps.coords:
-        consider(AnchoredBox(row.copy()))
+        corners.append(index([g[g <= y].max(initial=g[0]) for g, y in zip(grids, box.upper)]))
+        corners.append(index([g[g >= y].min() for g, y in zip(grids, box.upper)]))
+    score(corners + [index(row) for row in ps.coords])
 
-    largest = max(len(g) for g in grids)
+    largest = max(sizes)
     stream = Stream(derive(seed, "lower-estimate"))
-    center, lines = None, []
     for done in range(0, budget, block):
         rows = min(block, budget - done)
-        best = [int(np.searchsorted(g, y)) for g, y in zip(grids, best_box.upper)]
-        if done and best != center:
-            center = best
-            lines = [(j, i) for j, g in enumerate(grids) for i in range(len(g))]
-        taken, lines = lines[:rows], lines[rows:]
-        for j, i in taken:
-            consider(AnchoredBox(np.array([g[i if axis == j else c]
-                                           for axis, (g, c) in enumerate(zip(grids, center))])))
-        for _ in range(rows - len(taken)):
-            corner = np.array([g[stream.randbelow(largest) * len(g) // largest] for g in grids])
-            consider(AnchoredBox(corner))
+        corners = []
+        for _, center in pool if done else []:
+            start = reached.get(center, 0)
+            if len(corners) == rows:
+                break
+            taken = lines[start:start + rows - len(corners)]
+            reached[center] = start + len(taken)
+            for j, i in taken:
+                corners.append(center[:j] + (i,) + center[j + 1:])
+        pool[:] = [entry for entry in pool if reached.get(entry[1], 0) < len(lines)]
+        while len(corners) < rows:
+            corners.append(tuple(stream.randbelow(largest) * size // largest for size in sizes))
+        score(corners)
+        if blocks is not None:
+            blocks.append(corners)
 
-    assert best_box is not None
-    return float(best_val), best_box
+    value, corner = best
+    return float(value), AnchoredBox(np.array([g[i] for g, i in zip(grids, corner)]))
 
 
 def witness_shrinks_frac(k: int, w_count: int, y_count: int, n: int) -> bool:

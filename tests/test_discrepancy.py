@@ -440,9 +440,9 @@ class _RecordingSearch(discrepancy._BoxSearch):
         super().__init__(*args)
         self.scored = []
 
-    def _score(self, corners, values, closed, opened):
+    def _score(self, corners, values, closed, opened, *keep):
         self.scored += zip(map(tuple, corners.T.tolist()), values.tolist())
-        super()._score(corners, values, closed, opened)
+        return super()._score(corners, values, closed, opened, *keep)
 
 
 def radical_inverse(i, base):
@@ -1114,6 +1114,99 @@ class TestLowerEstimateAgainstScalarEstimator:
     def test_extra_box_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             star_discrepancy_lower_estimate(pset([0.5, 0.5]), 1, extra_boxes=[box(0.5)])
+
+
+def climb_sets():
+    # Several centers climb in each block (W = B // L of 33, 5 and 3) in the
+    # samples at d = 3 and 4.  At 3200 x 2 (L = 6402 > B = 2048) one
+    # center's lines span blocks, and the uniform set's first center is
+    # still the best when the third block opens, so its lines resume at
+    # 2048.  In the mirrored set each point's mirror image (y, x) is a
+    # point too, so the corners tie in pairs, and the tie rule picks the
+    # center.  The lattice's 216 grid corners run the pool dry.
+    sets = [pytest.param(sampler(n, d, derive(88, f"climb-{n}x{d}")),
+                         id=f"{sampler.__name__.split('_')[0]}-{n}x{d}")
+            for n, d in ((40, 3), (128, 3), (128, 4), (3200, 2))
+            for sampler in (lhs_sample, uniform_sample)]
+    half = Stream(derive(86, "mirror-1600x2")).uniform_block(3200).reshape(1600, 2)
+    lattice = np.array([[i % 5 / 5, i % 8 / 8, i % 3 / 3] for i in range(200)])
+    return sets + [pytest.param(PointSet(np.concatenate((half, half[:, ::-1]))),
+                                id="mirrored-3200x2"),
+                   pytest.param(PointSet(lattice), id="lattice-200x3")]
+
+
+class TestClimbSchedule:
+    """Past the first block, each block opens with the pending lines of up
+    to W = max(1, B // L) centers, the pool's best unclimbed corners."""
+
+    @pytest.mark.parametrize("ps", climb_sets())
+    def test_budgets_around_the_block(self, ps):
+        rows = block_rows(ps)
+        lines = sum(len(np.unique(column)) + 1 for column in ps.coords.T)
+        assert rows // lines >= 3 or lines > rows
+        budgets = (rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows)
+        found = [assert_estimate_bit_equal(ps, budget, seed=6) for budget in budgets]
+        values = [value for value, _ in found]
+        assert values == sorted(values)
+        assert values[-1] <= star_discrepancy_exact(ps).value
+        # The pool and the records go by value and grid corner, so the
+        # order of the rows changes nothing.
+        stream = Stream(derive(88, "climb-order"))
+        for order in (stream.permutation(ps.n_points), np.arange(ps.n_points)[::-1]):
+            moved = PointSet(ps.coords[order])
+            for budget, (value, found_box) in zip(budgets, found):
+                moved_value, moved_box = star_discrepancy_lower_estimate(moved, budget, seed=6)
+                assert np.float64(moved_value).tobytes() == np.float64(value).tobytes()
+                assert moved_box.upper.tobytes() == found_box.upper.tobytes()
+
+    @pytest.mark.parametrize("ps", climb_sets())
+    def test_blocks_are_the_reference_blocks(self, ps, monkeypatch):
+        # Corner for corner, in order: the lines of each center, then the
+        # random corners, block by block.
+        seeded = []
+        seed = discrepancy._BoxSearch.seed
+
+        def recording_seed(search, corners, *args):
+            seeded.append([tuple(c) for c in corners.T.tolist()])
+            return seed(search, corners, *args)
+
+        monkeypatch.setattr(discrepancy._BoxSearch, "seed", recording_seed)
+        rows = block_rows(ps)
+        star_discrepancy_lower_estimate(ps, 6 * rows, seed=6)
+        blocks = []
+        reference_star_discrepancy_lower_estimate(ps, 6 * rows, 6, block=rows, blocks=blocks)
+        assert seeded[-6:] == blocks
+
+    @pytest.mark.parametrize("sampler,n,d,budget,value,upper", [
+        (lhs_sample, 128, 3, 1, "0x1.580631290da40p-5",
+         ["0x1.193cae88a65a7p-1", "0x1.307113c21689fp-1", "0x1.d5f9ebadb4710p-1"]),
+        (lhs_sample, 128, 3, -1, "0x1.be1b68cd487f8p-5",
+         ["0x1.86aae4d0ead5ap-2", "0x1.6f8fda7ca3762p-1", "0x1.febb5998520e2p-1"]),
+        (lhs_sample, 128, 3, 0, "0x1.be1b68cd487f8p-5",
+         ["0x1.86aae4d0ead5ap-2", "0x1.6f8fda7ca3762p-1", "0x1.febb5998520e2p-1"]),
+        (uniform_sample, 128, 4, 1, "0x1.04578bc0fc710p-4",
+         ["0x1.e6ba54e9934d6p-1", "0x1.8c22be8b93f5bp-1", "0x1.98a2251e1df3cp-1",
+          "0x1.31b541a69aebfp-1"]),
+        (uniform_sample, 128, 4, 0, "0x1.79ed31530ab44p-4",
+         ["0x1.9496488e5c0ebp-1", "0x1.e1dc49c4190a2p-1", "0x1.eff40fdc92fe8p-2",
+          "0x1.e685353b4abdep-1"]),
+        (uniform_sample, 3200, 2, 0, "0x1.60945637efe00p-6",
+         ["0x1.7ecc6c20331bfp-1", "0x1.5f6c0c99770e6p-1"]),
+        (lhs_sample, 40, 3, -1, "0x1.07ff1c91005e4p-3",
+         ["0x1.0cf52407ab07bp-1", "0x1.a6993cb116ef8p-1", "0x1.4020211aacb8bp-1"]),
+        (lhs_sample, 40, 3, 0, "0x1.07ff1c91005e4p-3",
+         ["0x1.0cf52407ab07bp-1", "0x1.a6993cb116ef8p-1", "0x1.4020211aacb8bp-1"]),
+    ])
+    def test_one_block_is_random_corners_only(self, sampler, n, d, budget, value, upper):
+        # A budget of at most B (1, or B plus -1 or 0) draws one block of
+        # random corners and climbs no lines: the values and boxes pinned
+        # here are those of the estimate that climbed from one corner only.
+        ps = sampler(n, d, derive(89, f"first-block-{n}x{d}"))
+        if budget < 1:
+            budget += block_rows(ps)
+        found_value, found = star_discrepancy_lower_estimate(ps, budget, seed=5)
+        assert found_value.hex() == value
+        assert [x.hex() for x in found.upper.tolist()] == upper
 
 
 class TestDispatch:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,35 @@ class TestConfig:
         # and values with equal 6-digit keys would overwrite a per-c entry.
         with pytest.raises(ConfigError, match="c_values must"):
             parse_config(CONFIG_TEXT.replace("c_values = 1, 3, 4", f"c_values = {c_values}"))
+
+    def test_parse_the_readme_example(self):
+        # The fenced block under the README's config heading, verbatim,
+        # with its inline comments.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Experiment config format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert "#" in block
+        assert parse_config(block) == ExperimentConfig(
+            kind="lhs", N=3200, d=2, trials=100, master_seed=12345,
+            c_values=(3.0, 4.0), method="exact2d", estimate_budget=1000,
+            strict_witness=True,
+        )
+
+    @pytest.mark.parametrize("line,key,value", [
+        ("kind = uniform# a comment", "kind", "uniform"),
+        ("trials = 7   # an int", "trials", 7),
+        ("c_values = 1, 3.5 # thresholds, comma separated", "c_values", (1.0, 3.5)),
+        ("strict_witness = false  # true | false", "strict_witness", False),
+        ("method = estimate #", "method", "estimate"),
+    ])
+    def test_inline_comment_ends_the_value(self, line, key, value):
+        text = CONFIG_TEXT.replace(f"\n{key} = ", f"\n# {key} = ")
+        assert getattr(parse_config(text + line + "\n"), key) == value
+
+    def test_comment_only_and_key_only_lines(self):
+        assert parse_config(CONFIG_TEXT + "   # indented comment\n") == parse_config(CONFIG_TEXT)
+        with pytest.raises(ConfigError, match="line 12: expected 'key = value'"):
+            parse_config(CONFIG_TEXT + "trials # = 5\n")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
