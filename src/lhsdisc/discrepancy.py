@@ -63,24 +63,34 @@ lexicographically smallest corner (in grid indices, axis by axis) is
 kept, so the result is the full scan's.
 
 The frontier is a stack, searched depth first a chunk at a time: the last
-max(1, B / 2^d) boxes pushed are split and their children bounded, where
-B is the scorer's block of corners.  For bitsets B is sized so that the
-words their counts read fill 64 KiB: 2048 at N = 128, so a chunk is 256
-boxes at d = 3.  Plane counts read only four words a row, so a chunk's
-cost is mostly its fixed numpy calls, about 45, and B is sized by memory
-instead: 2048 (``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and
-1024 at d = 1, is the largest power of two whose workspace keeps the
-paper's call (d = 2, N = 3200) under 1 MiB; there 1024 ran about 1.3 times
-slower and 4096 took the call to 1.3 MiB (2-vCPU host).  The kept
-children of a chunk are pushed as one stack entry sorted ascending by
-bound, ties in the order they were split, and lie one level below their
-parents, so the stack holds one chunk's children at most per level: with
-C = max(B, 2^d) and L = ceil(log2) of the longest grid, at most L * C
-boxes of 8 d + 8 bytes (2 d int32 grid indices and a bound).  A chunk is
-the last ``per`` boxes of the top entry from its first bound at or above
-the floor, one searchsorted; the boxes below the floor are dropped, and
-once a chunk reaches them the rest of the entry goes too, as the floor
-never falls.
+``per`` = max(1, B / 2^d) boxes pushed that reach the floor are split and
+their children bounded, where B is the scorer's block of corners.  For
+bitsets B is sized so that the words their counts read fill 64 KiB: 2048
+at N = 128, so a chunk is 256 boxes at d = 3.  Plane counts read only
+four words a row, so much of a chunk's cost is its fixed numpy calls,
+about 40 and as many views, and B is sized by memory instead: 2048
+(``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and 1024 at d = 1, is
+the largest power of two whose workspace keeps the paper's call (d = 2,
+N = 3200) under 1 MiB; there 1024 ran about 1.3 times slower and 4096 took
+the call to 1.3 MiB (2-vCPU host).  The stack starts from the deepest
+level of the whole grid's halving tree that has at most ``per`` boxes
+(level l has prod(min(n_j, 2^l)) boxes, n_j the grid sizes), split
+without bounds: their children are the first boxes bounded, and as those
+children's lo and hi corners include every ancestor's, the floor collects
+every attained side that bounding the ancestors would have given.  The
+kept children of a chunk are pushed as one stack entry sorted ascending by
+bound, ties in the order they were split.  A chunk takes the top entry's last boxes from
+its first bound at or above the floor, one searchsorted, and then those of
+the entries below it, until it holds ``per`` boxes or the stack is empty;
+boxes below the floor are dropped, and once a chunk reaches them the rest
+of the entry goes too, as the floor never falls.  Give the first entry its
+level, and each later one the level after that of the lowest entry its
+chunk took from: every box of an entry lies at its entry's level or
+deeper, and the entries' levels rise strictly up the stack.  Only boxes
+of more than one corner are pushed, and they lie above level L = ceil(log2)
+of the longest grid, so with C = max(B, 2^d) the stack holds at most L
+entries of at most C boxes, of 8 d + 8 bytes each (2 d int32 grid indices
+and a bound).
 
 Every order on this path is the one a stable sort gives, from a cheaper
 sort that provably returns the same permutation.  Distinct keys sort one
@@ -96,11 +106,11 @@ once the frontier opens, for C children (the lower estimate never opens
 it, so its workspace stays one block's, and it adds the grid indices of
 a block of corners, 8 d bytes each, and the random draws that fill it);
 ``_CornerScorer`` and ``_BoxSearch`` list its arrays.  Every per-chunk
-operation writes into views of it with ``out=``.  It takes 17 d + 43 bytes per child plus the
-count's scratch: 56 bytes per child at d = 2 (266 KiB in all), and for
-d >= 3 16 bytes per child and one chunk of points' AND rows and
-popcounts (144 KiB when C = B).  The grids, shifted by one, and the
-points' grid indices take about 12 d N bytes.  For d >= 3 the bitset
+operation writes into views of it with ``out=``.  It takes 17 d + 51
+bytes per child plus the count's scratch: 56 bytes per child at d = 2
+(282 KiB in all), and for d >= 3 16 bytes per child and one chunk of
+points' AND rows and popcounts (144 KiB when C = B).  The grids, shifted
+by one, and the points' grid indices take about 12 d N bytes.  For d >= 3 the bitset
 tables take about d * N * min(N, 4096) / 8 bytes and their rank maps
 8 d (N + 2) bytes per 4096 points.  For d = 2
 a chunk of s <= 4096 points keeps cum, (s + 1) x (s // 64 + 2) uint16
@@ -112,6 +122,7 @@ each; for d = 1 the count is one rank map of 8 (N + 2) bytes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -289,6 +300,9 @@ _PLANE_BLOCK = 1 << 11
 #: The masks of the low r bits of a word, r = 0, ..., 63.
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
+#: Per count t of a chunk's points, the mask of the low t & 63 bits.
+_COUNT_MASKS = _LOW_BITS.take(np.arange(_CHUNK_POINTS + 1) & 63)
+
 
 def _pairs(k: int, *buffers: np.ndarray) -> list[np.ndarray]:
     """The first 2 k elements of each buffer, as (2, k) arrays."""
@@ -357,17 +371,18 @@ class _CornerScorer:
     is the OR of the bits of block w's first c points in first-axis order.
     With i = umap[a] and q = t >> 6, the count below the rows (a, b) is
     cum[i, q] plus the popcount of word[q, cum[i, q + 1] - cum[i, q]]
-    masked to its low t & 63 bits.  The planes take about 130 bytes per
-    point, and a row reads four words per chunk: two of ``cum``, one
-    prefix word and its mask.  At d = 1 the
+    masked to its low t & 63 bits, read from ``_COUNT_MASKS`` at t.  The
+    planes take about 130 bytes per point, and a row reads four words per
+    chunk: two of ``cum``, one prefix word and its mask.  At d = 1 the
     count is vmap[b], with one chunk of all the points.
 
     The workspace holds a block of corners (B, ``block``) when the scorer
     is built, and C = max(B, 2^d), a block or one box's children, once the
     search opens its frontier (``allocate``): ``rows``, the open and
-    closed rows to count (int32, 2 x d x C), ``counts``, their counts
-    (float64, 2 x C), ``vols``, vol(lo) and vol(hi) (float64, 2 x C),
-    ``gaps``, the factors of a volume (float64, C), and the count's own
+    closed rows to count (int32, 2 x d x C), ``terms``, their shares and
+    then vol(lo) and vol(hi), rows of k in one run of 4 k (float64,
+    4 x C), ``gaps``, the factors of a volume and then the search's two
+    rows of a bound's sides (float64, 2 x C), and the count's own
     scratch.  Plane counts at d = 2 use two int32, two uint16 and two
     uint64 arrays of 2 x C; bitset counts one intp array of 2 x C
     and a chunk's AND rows and popcounts, two uint64 and two uint8 arrays
@@ -406,9 +421,8 @@ class _CornerScorer:
         d = len(self.grids)
         pair = 2 * size
         self.rows = np.empty(d * pair, dtype=np.int32)
-        self.counts = np.empty(pair)
-        self.vols = np.empty(pair)
-        self.gaps = np.empty(size)
+        self.terms = np.empty(2 * pair)
+        self.gaps = np.empty(pair)
         if d == 2:
             self.ints = np.empty((2, pair), dtype=np.int32)
             self.halves = np.empty((2, pair), dtype=np.uint16)
@@ -443,14 +457,14 @@ class _CornerScorer:
             out.append((table, rank_map))
         return out
 
-    def _plane(self, ranks: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    def _plane(self, ranks: np.ndarray) -> tuple[np.ndarray, ...]:
         """The plane counts of ``ranks``' points, in last-axis order (see
         the class): umap times the row length of ``cum``, vmap, and ``cum``
         and ``word`` flattened; at d = 1 only vmap, in float64 as it is the
         count."""
         maps = self._rank_maps(ranks)
         if len(maps) == 1:
-            return None, maps[0].astype(np.float64), None, None
+            return maps[0].astype(np.float64),
         size = ranks.shape[0]
         blocks = (size >> 6) + 1
         stride = (blocks + 4) & -4  # the W + 1 columns, padded to whole uint64s
@@ -479,10 +493,11 @@ class _CornerScorer:
         return self.rows[:2 * len(self.grids) * k].reshape(2, -1, k)
 
     def shares(self, rows: np.ndarray) -> np.ndarray:
-        """Per open and closed row of ``rows`` (2, d, k), the share of the
-        points below the row on every axis, count / N: a (2, k) view of the
-        workspace."""
-        counts, = _pairs(rows.shape[2], self.counts)
+        """Per side of ``rows`` (2, d, k), the share of the points below its
+        rows on every axis, count / N: the first 2 k elements of ``terms``,
+        as (2, k)."""
+        k = rows.shape[2]
+        counts = self.terms[:2 * k].reshape(2, k)
         if self.planes:
             self._plane_count(rows, counts)
         else:
@@ -515,7 +530,7 @@ class _CornerScorer:
     def _plane_count(self, rows: np.ndarray, counts: np.ndarray) -> None:
         """The counts from the plane counts (d <= 2)."""
         if len(self.grids) == 1:
-            self.chunks[0][1].take(rows[:, 0], out=counts, mode="wrap")
+            self.chunks[0][0].take(rows[:, 0], out=counts, mode="wrap")
             return
         k = rows.shape[2]
         t, q = _pairs(k, *self.ints)
@@ -523,9 +538,8 @@ class _CornerScorer:
         mask, bits = _pairs(k, *self.words)
         for c, (umap, vmap, cum, word) in enumerate(self.chunks):
             vmap.take(rows[:, 1], out=t, mode="wrap")
+            _COUNT_MASKS.take(t, out=mask, mode="wrap")
             np.right_shift(t, 6, out=q)
-            t &= 63
-            _LOW_BITS.take(t, out=mask, mode="wrap")
             at = t  # t is spent
             umap.take(rows[:, 0], out=at, mode="wrap")
             at += q  # the flat index of cum[i, q]
@@ -545,10 +559,10 @@ class _CornerScorer:
 
     def volumes(self, ends: np.ndarray) -> np.ndarray:
         """vol(lo) of the boxes [lo, he) of ``ends`` (e, d, k), and vol(hi)
-        too when e = 2, as an (e, k) view of ``vols``; ``gaps`` holds the
-        factors."""
+        too when e = 2, as an (e, k) view of ``terms`` after the shares;
+        ``gaps`` holds the factors."""
         e, _, k = ends.shape
-        vols = self.vols[:e * k].reshape(e, k)
+        vols = self.terms[2 * k:(2 + e) * k].reshape(e, k)
         part = self.gaps[:k]
         for vol, end, grids in zip(vols, ends, (self.grids, self.shifted)):
             for j, grid in enumerate(grids):
@@ -606,13 +620,18 @@ class _BoxSearch:
 
     Once ``run`` opens the frontier, the scorer's workspace holds C
     corners (see ``_CornerScorer``), so a chunk's per << d children: the
-    kept children are its rows to count, their shares its counts, their
-    vol(lo) and vol(hi) its volumes, and then its ``gaps`` hold the
-    attained sides and the bound.  The search's own arrays, allocated then
-    too for the chunk's boxes and C children, are ``ends``, the boxes' lo,
-    he and mid (int32, 3 x d x per), ``children``, all their children
-    before the empty ones drop and then the kept ones' extents (int32,
-    2 x d x C), and boolean masks.
+    kept children are its rows to count, counted he rows first, so that its
+    ``terms`` hold their closed and open shares, vol(lo) and vol(hi); its
+    ``gaps`` hold the attained sides and then the bound's sides, whose
+    maximum, the bound, overwrites vol(hi).  The search's own arrays,
+    allocated then too for the chunk's boxes and C children, are ``ends``,
+    the boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
+    children before the empty ones drop and then the kept ones' extents
+    (int32, 2 x d x C), and boolean masks.  A stack entry is a chunk's kept
+    children, their bounds and a least extent: no box in it spans fewer
+    grid indices on any axis.  Where a chunk's least extent is 2 or more
+    no child is empty, and where it is 4 or more none is a single corner,
+    so those steps are skipped.
     """
 
     def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
@@ -648,42 +667,77 @@ class _BoxSearch:
         size = max(self.scorer.block, 1 << d)
         if size > self.scorer.block:  # one box's children outgrow a block
             self.scorer.allocate(size)
-        self.ends = np.empty(3 * d * self.per, dtype=np.int32)
+        self.ends = np.empty((3, d, self.per), dtype=np.int32)
         self.children = np.empty(2 * d * size, dtype=np.int32)
         self.axis_masks = np.empty(d * size, dtype=bool)
         self.masks = np.empty((3, size), dtype=bool)
-        whole = np.zeros((2, d, 1), dtype=np.int32)
-        whole[1, :, 0] = self.scorer.top + 1
-        stack = [(whole, np.array([np.inf]))]
-        per = self.per
+        stack = [self._start()]
         while stack:
-            boxes, bound = stack[-1]
+            m, low = self._take(stack)
+            if m:
+                children = self._bound(self._split(m, low), low)
+                if children is not None:
+                    stack.append(children)
+
+    def _start(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The stack's first entry: the boxes of the deepest level of the
+        whole grid's halving tree that has at most ``per`` boxes, split
+        without bounds and bounded by infinity, and their least extent.  A
+        level of the tree has prod(min(n_j, 2^level)) boxes, n_j the grid
+        sizes, and stops changing once 2^level reaches every n_j."""
+        sizes = (self.scorer.top + 1).tolist()
+        level = 0
+        while (1 << level) < max(sizes) and math.prod(
+                min(n, 2 << level) for n in sizes) <= self.per:
+            level += 1
+        boxes = np.zeros((2, len(sizes), 1), dtype=np.int32)
+        boxes[1, :, 0] = sizes
+        low = min(sizes)
+        for _ in range(level):
+            self.ends[:2, :, :boxes.shape[2]] = boxes
+            boxes = self._split(boxes.shape[2], low).copy()
+            low = max(1, low >> 1)
+        return boxes, np.full(boxes.shape[2], np.inf), low
+
+    def _take(self, stack: list[tuple[np.ndarray, np.ndarray, int]]) -> tuple[int, int]:
+        """Moves the last ``per`` boxes at or above the floor from the top
+        entries of the stack into ``ends``, the top entry's first; returns
+        how many it moved and the least of their entries' extents."""
+        m, low = 0, 1 << 31
+        while stack and m < self.per:
+            boxes, bound, extent = stack[-1]
             # The entry ascends by bound and the floor never falls: its boxes
             # below the floor are dropped, with the rest of the entry once
-            # the last ``per`` boxes reach them.
-            start = bound.size - per
+            # the chunk reaches them.
+            start = bound.size - (self.per - m)
             cut = int(bound.searchsorted(self.floor))
             if start > cut:
-                stack[-1] = boxes[..., :start], bound[:start]
+                stack[-1] = boxes[..., :start], bound[:start], extent
             else:
                 stack.pop()
                 start = cut
             if start < bound.size:
-                children = self._bound(self._split(boxes[..., start:]))
-                if children is not None:
-                    stack.append(children)
+                self.ends[:2, :, m:m + bound.size - start] = boxes[..., start:]
+                m += bound.size - start
+                low = min(low, extent)
+        return m, low
 
-    def _split(self, boxes: np.ndarray) -> np.ndarray:
-        """The children of ``boxes``: [lo, mid) or [mid, he) on each axis,
+    def _split(self, m: int, low: int) -> np.ndarray:
+        """The children of the first ``m`` boxes of ``ends``, whose extents
+        are at least ``low``: [lo, mid) or [mid, he) on each axis,
         mid = (lo + he + 1) >> 1, where an upper half is empty if
         he = lo + 1 and drops out; as the scorer's rows."""
-        d, m = boxes.shape[1:]
-        ends = self.ends[:3 * d * m].reshape(3, d, m)
-        np.copyto(ends[:2], boxes)
+        d = len(self.grids)
+        ends = self.ends[..., :m]
         mid = ends[2]
         np.add(ends[0], ends[1], out=mid)
         mid += 1
         mid >>= 1
+        if low > 1:  # no upper half is empty
+            rows = self.scorer.block_rows(m << d)
+            ends.reshape(3 * d, m).take(_child_rows(d), axis=0, out=rows.reshape(-1, m),
+                                        mode="wrap")
+            return rows
         children = self.children[:2 * d * m << d].reshape(-1, m)
         ends.reshape(3 * d, m).take(_child_rows(d), axis=0, out=children, mode="wrap")
         children = children.reshape(2, d, m << d)
@@ -696,28 +750,33 @@ class _BoxSearch:
         children.take(i, axis=2, out=rows, mode="wrap")
         return rows
 
-    def _bound(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Bounds the boxes and raises the floor; scores the single corners
-        that reach it and returns the other boxes that do, sorted ascending
-        by bound (see ``_ascending``)."""
+    def _bound(self, boxes: np.ndarray, low: int
+               ) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Bounds the boxes, children of boxes whose extents are at least
+        ``low``, and raises the floor; scores the single corners that reach
+        it and returns the other boxes that do, sorted ascending by bound
+        (see ``_ascending``), with a least extent."""
         d, k = boxes.shape[1:]
-        opened, closed = self.scorer.shares(boxes)
-        vol_lo, vol_hi = self.scorer.volumes(boxes)
-        # Attained: the closed side at hi and the open side at lo, in the
-        # scorer's ``gaps`` once the volumes' factors are spent.
-        gap = self.scorer.gaps[:k]
-        attained = np.subtract(closed, vol_hi, out=gap).max()
-        attained = max(attained, np.subtract(vol_lo, opened, out=gap).max())
-        self.floor = max(self.floor, float(attained))
-        bound = np.subtract(closed, vol_lo, out=gap)
-        np.maximum(bound, np.subtract(vol_hi, opened, out=vol_hi), out=bound)
-        extent = self.children[:d * k].reshape(d, k)  # the children are in the rows
-        np.subtract(boxes[1], boxes[0], out=extent)
-        unit = self.axis_masks[:d * k].reshape(d, k)
-        np.equal(extent, 1, out=unit)
-        leaf = self.masks[1, :k]
-        np.logical_and.reduce(unit, axis=0, out=leaf)
-        leaves = int(np.count_nonzero(leaf))
+        self.scorer.shares(boxes[::-1])
+        self.scorer.volumes(boxes)
+        terms = self.scorer.terms[:4 * k].reshape(4, k)  # closed, open, vol(lo), vol(hi)
+        sides = self.scorer.gaps[:2 * k].reshape(2, k)
+        # Attained: the closed side at hi and the open side at lo.
+        np.subtract(terms[::2], terms[3::-2], out=sides)
+        self.floor = max(self.floor, float(np.maximum.reduce(sides, axis=None)))
+        # The bound's sides: a single corner's closed surplus and open
+        # deficiency, as vol(hi) is vol(lo) there.
+        np.subtract(terms[::3], terms[2:0:-1], out=sides)
+        bound = np.maximum(sides[0], sides[1], out=terms[3])
+        leaves = 0
+        if low < 4:  # else every child spans two grid indices or more
+            extent = self.children[:d * k].reshape(d, k)  # the children are in the rows
+            np.subtract(boxes[1], boxes[0], out=extent)
+            unit = self.axis_masks[:d * k].reshape(d, k)
+            np.equal(extent, 1, out=unit)
+            leaf = self.masks[1, :k]
+            np.logical_and.reduce(unit, axis=0, out=leaf)
+            leaves = int(np.add.reduce(leaf))
         self.boxes_bounded += k
         self.corners_scored += leaves
         reach = self.masks[2, :k]
@@ -728,12 +787,11 @@ class _BoxSearch:
             i = inner[single]
             inner = inner[~single]
             if i.size:
-                self._score(boxes[0].take(i, axis=1),
-                            *_corner_values(closed.take(i), opened.take(i), vol_lo.take(i)))
+                self._score(boxes[0].take(i, axis=1), bound.take(i), *sides.take(i, axis=1))
         if not inner.size:
             return None
         order, bound = _ascending(bound.take(inner))
-        return boxes.take(inner.take(order), axis=2), bound
+        return boxes.take(inner.take(order), axis=2), bound, max(1, low >> 1)
 
     def _score(self, corners: np.ndarray, values: np.ndarray, closed: np.ndarray,
                opened: np.ndarray, keep: int = 1) -> np.ndarray:
@@ -757,7 +815,7 @@ def _best(corners: np.ndarray, values: np.ndarray, keep: int) -> np.ndarray:
     are at least the ``keep``-th largest of ``values``, best first: by
     value, ties to the lexicographically smallest corner."""
     k = values.size
-    cut = values.max() if keep == 1 else np.partition(values, k - keep)[k - keep]
+    cut = np.maximum.reduce(values) if keep == 1 else np.partition(values, k - keep)[k - keep]
     at = (values >= cut).nonzero()[0]
     if at.size > 1:
         at = at.take(np.lexsort((*corners[::-1].take(at, axis=1), -values.take(at))))

@@ -415,22 +415,22 @@ class TestBoundAndSkip:
         assert_search_counters(uniform_sample(12, 4, derive(88, "counters-4d")))
 
     def test_counters_of_a_seeded_3d_search(self):
-        # The counts of the search over closed boxes [lo, hi] that the
-        # half-open ones replaced: the same tree, box for box.
+        # The counts of the search that fills every chunk from the stack's
+        # top entries and starts from an unbounded level of 256 boxes.
         search = run_search(lhs_sample(128, 3, seed=derive(88, "counters")))
-        assert (search.boxes_bounded, search.corners_scored) == (15304, 128)
+        assert (search.boxes_bounded, search.corners_scored) == (15376, 128)
 
     def test_counters_of_the_paper_memory_search(self):
         # The d = 2, N = 3200 call of the table memory test: the tree of
-        # the stable bound sorts, box for box.
+        # the stable bound sorts and full chunks, box for box.
         search = run_search(lhs_sample(3200, 2, seed=derive(80, "memory")))
-        assert (search.boxes_bounded, search.corners_scored) == (46098, 85)
+        assert (search.boxes_bounded, search.corners_scored) == (46314, 85)
 
     def test_counters_of_a_search_with_tied_bounds(self):
         # A lattice whose kept children often tie on their bounds: ties
         # are pushed in the order they were split, as a stable sort keeps.
         search = run_search(korobov(128, 25))
-        assert (search.boxes_bounded, search.corners_scored) == (87816, 16072)
+        assert (search.boxes_bounded, search.corners_scored) == (87592, 15904)
 
 
 class _RecordingSearch(discrepancy._BoxSearch):
@@ -551,15 +551,24 @@ class TestBoxSearchAboveTwoDimensions:
 
 
 class _ChunkRecordingSearch(discrepancy._BoxSearch):
-    """The search, recording how many boxes each chunk splits."""
+    """The search, recording per chunk how many boxes it splits, and how
+    many boxes at or above the floor the whole frontier and its top entry
+    held before it."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.splits = []
+        self.held = []
+        self.top = []
 
-    def _split(self, boxes):
-        self.splits.append(boxes.shape[2])
-        return super()._split(boxes)
+    def _take(self, stack):
+        held = [bound.size - int(bound.searchsorted(self.floor)) for _, bound, _ in stack]
+        m, low = super()._take(stack)
+        if m:
+            self.splits.append(m)
+            self.held.append(sum(held))
+            self.top.append(held[-1])
+        return m, low
 
 
 class TestHalfOpenBoxes:
@@ -606,11 +615,11 @@ class TestHalfOpenBoxes:
     @pytest.mark.parametrize("ps", [uniform_sample(10000, 2, derive(104, "wide-2d")),
                                     korobov(128, 25)], ids=["uniform-10000x2", "korobov-128x3"])
     def test_frontiers_over_several_chunks(self, ps):
-        # The frontier takes more than twice as many chunks as the grid has
-        # levels, full ones and partial ones.
+        # The frontier takes more chunks than the grid has levels, full
+        # ones and partial ones.
         search = run_search(ps, _ChunkRecordingSearch)
         levels = max(int(np.ceil(np.log2(len(g)))) for g in search.grids)
-        assert len(search.splits) > 2 * levels
+        assert len(search.splits) > levels
         assert search.per in search.splits
         assert min(search.splits) < search.per
         reference = (reference_star_discrepancy_exact_2d if ps.dim == 2
@@ -618,14 +627,14 @@ class TestHalfOpenBoxes:
         assert_bit_equal(star_discrepancy_exact(ps), reference(ps))
 
     def test_unpruned_tree_at_one_dimension(self):
-        # An LHS ties near 1/N at every corner of d = 1, so the whole tree
-        # of 2N boxes is bounded, one level a chunk, the widest of them
-        # splitting into about half a block of children.
+        # The grid's N + 1 single corners are a level of the tree with at
+        # most ``per`` = 1024 boxes, so the unbounded start reaches them and
+        # one chunk bounds them all.
         n = 1000
         ps = lhs_sample(n, 1, derive(104, "wide-1d"))
         search = run_search(ps, _ChunkRecordingSearch)
-        assert search.boxes_bounded == 2 * n
-        assert len(search.splits) == 10
+        assert search.boxes_bounded == search.corners_scored == n + 1
+        assert search.splits == [n + 1]
         check_against_replaced_kernels(ps)
 
     @pytest.mark.parametrize("n,d", [(1, 13), (2, 13), (65, 12), (2049, 7)])
@@ -643,6 +652,94 @@ class TestHalfOpenBoxes:
         check_against_replaced_kernels(ps)
         if n <= 2:
             assert_bit_equal(star_discrepancy_exact(ps), corner_by_corner_star_discrepancy(ps))
+
+
+def full_chunk_sets():
+    # LHS, uniform, Korobov and lattice sets at d = 1 to 4, the tie of
+    # ``tie_across_blocks`` and sets whose points share an axis's largest
+    # coordinate.
+    lattice = Stream(derive(108, "full-chunks"))
+    tied = []
+    for n, d, j in ((40, 2, 0), (40, 3, 2), (200, 2, 1)):
+        coords = lhs_sample(n, d, derive(108, f"largest-{n}-{d}")).coords.copy()
+        coords[:n // 2 + 1, j] = coords[:, j].max()
+        tied.append(PointSet(coords))
+    sets = [lhs_sample(1000, 1, derive(108, "lhs-1")), uniform_sample(3000, 1, derive(108, "u-1")),
+            lhs_sample(1000, 2, derive(108, "lhs-2")), uniform_sample(1500, 2, derive(108, "u-2")),
+            lattice_pointset(lattice, 600, 2, 40), tie_across_blocks(),
+            lhs_sample(128, 3, derive(108, "lhs-3")), uniform_sample(100, 3, derive(108, "u-3")),
+            korobov(128, 25), lattice_pointset(lattice, 200, 3, 20),
+            lhs_sample(16, 4, derive(108, "lhs-4")), uniform_sample(14, 4, derive(108, "u-4")),
+            lattice_pointset(lattice, 24, 4, 5)] + tied
+    ids = ["lhs-1000x1", "uniform-3000x1", "lhs-1000x2", "uniform-1500x2", "lattice-600x2",
+           "tie-across-blocks", "lhs-128x3", "uniform-100x3", "korobov-128x3", "lattice-200x3",
+           "lhs-16x4", "uniform-14x4", "lattice-24x4", "largest-40x2", "largest-40x3",
+           "largest-200x2"]
+    return [pytest.param(ps, id=i) for ps, i in zip(sets, ids)]
+
+
+def grid_points(sizes):
+    # Coordinates whose grid has ``sizes`` values per axis, 1.0 included:
+    # point i takes the value min(i, n_j - 2) / n_j on axis j.
+    n = max(sizes) - 1
+    return PointSet(np.column_stack([np.minimum(np.arange(n), s - 2) / s for s in sizes]))
+
+
+class TestFullChunks:
+    """The frontier fills every chunk from the stack's top entries and
+    starts from an unbounded level of the whole grid's halving tree: the
+    result stays bit-equal (value, box bytes, side) to the references, and
+    the work depends on the points, not on the order of their rows."""
+
+    @pytest.mark.parametrize("ps", full_chunk_sets())
+    def test_chunks_take_every_box_they_can(self, ps):
+        # Each chunk takes ``per`` boxes whenever the frontier holds that
+        # many at or above the floor, and else all of them.
+        check_against_replaced_kernels(ps)
+        search = run_search(ps, _ChunkRecordingSearch)
+        assert search.splits == [min(search.per, held) for held in search.held]
+
+    def test_chunks_reach_below_the_top_entry(self):
+        # The top entry often holds fewer boxes than a chunk takes.
+        for ps in (lhs_sample(1000, 2, derive(108, "lhs-2")), korobov(128, 25)):
+            search = run_search(ps, _ChunkRecordingSearch)
+            assert sum(m > top for m, top in zip(search.splits, search.top)) >= 3
+
+    @pytest.mark.parametrize("ps", full_chunk_sets())
+    def test_work_does_not_depend_on_the_order_of_the_rows(self, ps):
+        search = run_search(ps, _ChunkRecordingSearch)
+        stream = Stream(derive(108, "rows"))
+        for order in (stream.permutation(ps.n_points), np.arange(ps.n_points)[::-1]):
+            moved = run_search(PointSet(ps.coords[order]), _ChunkRecordingSearch)
+            assert (moved.boxes_bounded, moved.corners_scored, moved.splits) == (
+                search.boxes_bounded, search.corners_scored, search.splits)
+
+    @pytest.mark.parametrize("sizes", [(2,), (5,), (1001,), (3,) * 2, (3201,) * 2, (2, 1000),
+                                       (129,) * 3, (2, 7, 129), (5,) * 4, (2,) * 13])
+    def test_start_is_the_deepest_level_within_a_chunk(self, sizes):
+        # The start's boxes tile the grid; they are at most ``per``, and one
+        # more halving would make more than ``per`` unless every box is a
+        # single corner.  Its least extent is the boxes' own.
+        class Start(discrepancy._BoxSearch):
+            def _take(self, stack):
+                self.start = stack.pop()
+                return 0, 0
+
+        search = run_search(grid_points(sizes), Start)
+        assert (search.scorer.top + 1).tolist() == list(sizes)
+        boxes, bound, low = search.start
+        extent = boxes[1] - boxes[0]
+        assert boxes.shape[2] <= search.per and np.isinf(bound).all()
+        if np.prod(sizes) <= 1 << 16:
+            cover = np.zeros(sizes, dtype=int)
+            for lo, he in zip(boxes[0].T, boxes[1].T):
+                cover[tuple(slice(a, b) for a, b in zip(lo, he))] += 1
+            assert (cover == 1).all()
+        else:
+            assert extent.prod(axis=0).sum() == np.prod(sizes)
+        halved = np.where(extent > 1, 2, 1).prod(axis=0).sum()
+        assert halved > search.per or (extent == 1).all()
+        assert low == extent.min()
 
 
 class TestSameOrders:
