@@ -297,11 +297,9 @@ _ESTIMATE_WORDS = 1 << 13
 #: module).
 _PLANE_BLOCK = 1 << 11
 
-#: The masks of the low r bits of a word, r = 0, ..., 63.
-_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
-
-#: Per count t of a chunk's points, the mask of the low t & 63 bits.
-_COUNT_MASKS = _LOW_BITS.take(np.arange(_CHUNK_POINTS + 1) & 63)
+#: Per count t of a chunk's points, the mask of the low t & 63 bits of a word.
+_COUNT_MASKS = ((np.uint64(1) << (np.arange(_CHUNK_POINTS + 1, dtype=np.uint64) & np.uint64(63)))
+                - np.uint64(1))
 
 
 def _pairs(k: int, *buffers: np.ndarray) -> list[np.ndarray]:
@@ -622,8 +620,8 @@ class _BoxSearch:
     corners (see ``_CornerScorer``), so a chunk's per << d children: the
     kept children are its rows to count, counted he rows first, so that its
     ``terms`` hold their closed and open shares, vol(lo) and vol(hi); its
-    ``gaps`` hold the attained sides and then the bound's sides, whose
-    maximum, the bound, overwrites vol(hi).  The search's own arrays,
+    ``gaps`` hold the attained sides and then the bound's two sides, and
+    the bound overwrites vol(hi).  The search's own arrays,
     allocated then too for the chunk's boxes and C children, are ``ends``,
     the boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
     children before the empty ones drop and then the kept ones' extents
@@ -759,13 +757,13 @@ class _BoxSearch:
         d, k = boxes.shape[1:]
         self.scorer.shares(boxes[::-1])
         self.scorer.volumes(boxes)
-        terms = self.scorer.terms[:4 * k].reshape(4, k)  # closed, open, vol(lo), vol(hi)
+        terms = self.scorer.terms[:4 * k].reshape(4, k)
+        closed, opened, vol_lo = terms[:3]
         sides = self.scorer.gaps[:2 * k].reshape(2, k)
-        # Attained: the closed side at hi and the open side at lo.
+        # Attained: closed - vol(hi) at hi and vol(lo) - open at lo.
         np.subtract(terms[::2], terms[3::-2], out=sides)
         self.floor = max(self.floor, float(np.maximum.reduce(sides, axis=None)))
-        # The bound's sides: a single corner's closed surplus and open
-        # deficiency, as vol(hi) is vol(lo) there.
+        # The bound, max(closed - vol(lo), vol(hi) - open), over vol(hi).
         np.subtract(terms[::3], terms[2:0:-1], out=sides)
         bound = np.maximum(sides[0], sides[1], out=terms[3])
         leaves = 0
@@ -787,7 +785,8 @@ class _BoxSearch:
             i = inner[single]
             inner = inner[~single]
             if i.size:
-                self._score(boxes[0].take(i, axis=1), bound.take(i), *sides.take(i, axis=1))
+                self._score(boxes[0].take(i, axis=1),
+                            *_corner_values(closed.take(i), opened.take(i), vol_lo.take(i)))
         if not inner.size:
             return None
         order, bound = _ascending(bound.take(inner))
