@@ -63,16 +63,18 @@ lexicographically smallest corner (in grid indices, axis by axis) is
 kept, so the result is the full scan's.
 
 The frontier is a stack, searched depth first a chunk at a time: the last
-``per`` = max(1, B / 2^d) boxes pushed that reach the floor are split and
-their children bounded, where B is the scorer's block of corners.  For
-bitsets B is sized so that the words their counts read fill 64 KiB: 2048
+``per`` = max(1, C / 2^d) boxes pushed that reach the floor are split and
+their children bounded.  For bitsets C = max(B, 2^d), B the scorer's block
+of corners, sized so that the words their counts read fill 64 KiB: 2048
 at N = 128, so a chunk is 256 boxes at d = 3.  Plane counts read only
 four words a row, so much of a chunk's cost is its fixed numpy calls,
-about 40 and as many views, and B is sized by memory instead: 2048
-(``_PLANE_BLOCK``), a chunk of 512 boxes at d = 2 and 1024 at d = 1, is
-the largest power of two whose workspace keeps the paper's call (d = 2,
-N = 3200) under 1 MiB; there 1024 ran about 1.3 times slower and 4096 took
-the call to 1.3 MiB (2-vCPU host).  The stack starts from the deepest
+about 40 and as many views, and their blocks are sized by memory instead:
+B = 2048 (``_PLANE_BLOCK``) for the lower estimate and the points' own
+corners, and C = 3072 (``_PLANE_FRONTIER``), a chunk of 768 boxes at
+d = 2 and 1536 at d = 1, for the frontier, the largest multiple of 1024
+that keeps the paper's call (d = 2, N = 3200) under 1 MiB (990 KiB).
+There C = 2048 ran about 1.15 times slower, and 4096 took the call to
+1.1 MiB (2-vCPU host).  The stack starts from the deepest
 level of the whole grid's halving tree that has at most ``per`` boxes
 (level l has prod(min(n_j, 2^l)) boxes, n_j the grid sizes), split
 without bounds: their children are the first boxes bounded, and as those
@@ -88,9 +90,8 @@ level, and each later one the level after that of the lowest entry its
 chunk took from: every box of an entry lies at its entry's level or
 deeper, and the entries' levels rise strictly up the stack.  Only boxes
 of more than one corner are pushed, and they lie above level L = ceil(log2)
-of the longest grid, so with C = max(B, 2^d) the stack holds at most L
-entries of at most C boxes, of 8 d + 8 bytes each (2 d int32 grid indices
-and a bound).
+of the longest grid, so the stack holds at most L entries of at most C
+boxes, of 8 d + 8 bytes each (2 d int32 grid indices and a bound).
 
 Every order on this path is the one a stable sort gives, from a cheaper
 sort that provably returns the same permutation.  Distinct keys sort one
@@ -107,9 +108,10 @@ it, so its workspace stays one block's, and it adds the grid indices of
 a block of corners, 8 d bytes each, and the random draws that fill it);
 ``_CornerScorer`` and ``_BoxSearch`` list its arrays.  Every per-chunk
 operation writes into views of it with ``out=``.  It takes 17 d + 51
-bytes per child plus the count's scratch: 56 bytes per child at d = 2
-(282 KiB in all), and for d >= 3 16 bytes per child and one chunk of
-points' AND rows and popcounts (144 KiB when C = B).  The grids, shifted
+bytes per child plus the count's scratch: at d = 2 that scratch is
+24 bytes per child and holds the children too, 93 bytes per child
+(279 KiB in all), and for d >= 3 it is 16 bytes per child and one chunk
+of points' AND rows and popcounts (144 KiB when C = B).  The grids, shifted
 by one, and the points' grid indices take about 12 d N bytes.  For d >= 3 the bitset
 tables take about d * N * min(N, 4096) / 8 bytes and their rank maps
 8 d (N + 2) bytes per 4096 points.  For d = 2
@@ -297,6 +299,10 @@ _ESTIMATE_WORDS = 1 << 13
 #: module).
 _PLANE_BLOCK = 1 << 11
 
+#: Children per chunk of the search's frontier with plane counts (d <= 2),
+#: sized by memory (see the module).
+_PLANE_FRONTIER = 3 << 10
+
 #: Per count t of a chunk's points, the mask of the low t & 63 bits of a word.
 _COUNT_MASKS = ((np.uint64(1) << (np.arange(_CHUNK_POINTS + 1, dtype=np.uint64) & np.uint64(63)))
                 - np.uint64(1))
@@ -375,14 +381,16 @@ class _CornerScorer:
     count is vmap[b], with one chunk of all the points.
 
     The workspace holds a block of corners (B, ``block``) when the scorer
-    is built, and C = max(B, 2^d), a block or one box's children, once the
-    search opens its frontier (``allocate``): ``rows``, the open and
-    closed rows to count (int32, 2 x d x C), ``terms``, their shares and
-    then vol(lo) and vol(hi), rows of k in one run of 4 k (float64,
-    4 x C), ``gaps``, the factors of a volume and then the search's two
-    rows of a bound's sides (float64, 2 x C), and the count's own
-    scratch.  Plane counts at d = 2 use two int32, two uint16 and two
-    uint64 arrays of 2 x C; bitset counts one intp array of 2 x C
+    is built, and C children once the search opens its frontier
+    (``allocate``, see ``_BoxSearch``): ``rows``, the open and closed
+    rows to count (int32, 2 x d x C), ``terms``, their shares and then
+    vol(lo) and vol(hi), rows of k in one run of 4 k (float64, 4 x C),
+    ``gaps``, the factors of a volume and then the search's two rows of a
+    bound's sides (float64, 2 x C), and the count's own scratch.  Plane
+    counts at d = 2 use two int32 and two uint16 arrays of 2 x C, and
+    their masks and words take the rows of ``terms`` past the counts and
+    ``gaps`` as uint64, which are free while counting; bitset counts one
+    intp array of 2 x C
     and a chunk's AND rows and popcounts, two uint64 and two uint8 arrays
     of 2 x C x (words per table row), 2 x 64 KiB and 2 x 8 KiB for a
     block.  The rows counted lie in [0, top + 1] and every rank map has
@@ -424,7 +432,6 @@ class _CornerScorer:
         if d == 2:
             self.ints = np.empty((2, pair), dtype=np.int32)
             self.halves = np.empty((2, pair), dtype=np.uint16)
-            self.words = np.empty((2, pair), dtype=np.uint64)
         elif d > 2:
             self.index = np.empty(pair, dtype=np.intp)
             words = pair * self.chunks[0][0][0].shape[1]
@@ -533,7 +540,8 @@ class _CornerScorer:
         k = rows.shape[2]
         t, q = _pairs(k, *self.ints)
         below, above = _pairs(k, *self.halves)
-        mask, bits = _pairs(k, *self.words)
+        # Free while counting: terms past the counts, and gaps.
+        mask, bits = _pairs(k, self.terms[2 * k:].view(np.uint64), self.gaps.view(np.uint64))
         for c, (umap, vmap, cum, word) in enumerate(self.chunks):
             vmap.take(rows[:, 1], out=t, mode="wrap")
             _COUNT_MASKS.take(t, out=mask, mode="wrap")
@@ -616,8 +624,11 @@ class _BoxSearch:
     bounded and ``corners_scored`` those that are single corners, whose
     bound is their value; neither counts the corners given to ``seed``.
 
-    Once ``run`` opens the frontier, the scorer's workspace holds C
-    corners (see ``_CornerScorer``), so a chunk's per << d children: the
+    A chunk splits ``per`` = C >> d boxes into at most C children, where
+    C (``size``) is ``_PLANE_FRONTIER`` for plane counts and the scorer's
+    block for bitsets, or one box's 2^d children if more.  Once ``run``
+    opens the frontier, the scorer's workspace holds C corners (see
+    ``_CornerScorer``), so a chunk's per << d children: the
     kept children are its rows to count, counted he rows first, so that its
     ``terms`` hold their closed and open shares, vol(lo) and vol(hi); its
     ``gaps`` hold the attained sides and then the bound's two sides, and
@@ -625,7 +636,8 @@ class _BoxSearch:
     allocated then too for the chunk's boxes and C children, are ``ends``,
     the boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
     children before the empty ones drop and then the kept ones' extents
-    (int32, 2 x d x C), and boolean masks.  A stack entry is a chunk's kept
+    (int32, 2 x d x C; at d = 2 the count's int32 scratch, which is free
+    whenever they are), and boolean masks.  A stack entry is a chunk's kept
     children, their bounds and a least extent: no box in it spans fewer
     grid indices on any axis.  Where a chunk's least extent is 2 or more
     no child is empty, and where it is 4 or more none is a single corner,
@@ -635,8 +647,11 @@ class _BoxSearch:
     def __init__(self, shifted: list[np.ndarray], ranks: np.ndarray):
         self.scorer = _CornerScorer(shifted, ranks)
         self.grids = self.scorer.grids
-        #: Boxes split per chunk: their children fill a block, or are one box's.
-        self.per = max(1, self.scorer.block >> len(shifted))
+        d = len(shifted)
+        #: C, the most children of a chunk (see the class).
+        self.size = max(_PLANE_FRONTIER if self.scorer.planes else self.scorer.block, 1 << d)
+        #: Boxes split per chunk.
+        self.per = self.size >> d
         self.value = -np.inf
         self.floor = -np.inf
         self.corner: list[int] = []
@@ -662,11 +677,13 @@ class _BoxSearch:
         """The seeding pass over the points' own corners, then the frontier."""
         self.seed(self.scorer.ranks.T)
         d = len(self.grids)
-        size = max(self.scorer.block, 1 << d)
-        if size > self.scorer.block:  # one box's children outgrow a block
+        size = self.size
+        if size > self.scorer.block:
             self.scorer.allocate(size)
         self.ends = np.empty((3, d, self.per), dtype=np.int32)
-        self.children = np.empty(2 * d * size, dtype=np.int32)
+        # At d = 2 the count's int32 scratch is free whenever the children are.
+        self.children = (self.scorer.ints.ravel() if d == 2 else
+                         np.empty(2 * d * size, dtype=np.int32))
         self.axis_masks = np.empty(d * size, dtype=bool)
         self.masks = np.empty((3, size), dtype=bool)
         stack = [self._start()]

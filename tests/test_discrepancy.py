@@ -422,9 +422,9 @@ class TestBoundAndSkip:
 
     def test_counters_of_the_paper_memory_search(self):
         # The d = 2, N = 3200 call of the table memory test: the tree of
-        # the stable bound sorts and full chunks, box for box.
+        # the stable bound sorts and full chunks of 768 boxes, box for box.
         search = run_search(lhs_sample(3200, 2, seed=derive(80, "memory")))
-        assert (search.boxes_bounded, search.corners_scored) == (46314, 85)
+        assert (search.boxes_bounded, search.corners_scored) == (47354, 85)
 
     def test_counters_of_a_search_with_tied_bounds(self):
         # A lattice whose kept children often tie on their bounds: ties
@@ -628,7 +628,7 @@ class TestHalfOpenBoxes:
 
     def test_unpruned_tree_at_one_dimension(self):
         # The grid's N + 1 single corners are a level of the tree with at
-        # most ``per`` = 1024 boxes, so the unbounded start reaches them and
+        # most ``per`` = 1536 boxes, so the unbounded start reaches them and
         # one chunk bounds them all.
         n = 1000
         ps = lhs_sample(n, 1, derive(104, "wide-1d"))
