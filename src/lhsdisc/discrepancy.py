@@ -628,12 +628,11 @@ class _BoxSearch:
     C (``size``) is ``_PLANE_FRONTIER`` for plane counts and the scorer's
     block for bitsets, or one box's 2^d children if more.  Once ``run``
     opens the frontier, the scorer's workspace holds C corners (see
-    ``_CornerScorer``), so a chunk's per << d children: the
-    kept children are its rows to count, counted he rows first, so that its
-    ``terms`` hold their closed and open shares, vol(lo) and vol(hi); its
-    ``gaps`` hold the attained sides and then the bound's two sides, and
-    the bound overwrites vol(hi).  The search's own arrays,
-    allocated then too for the chunk's boxes and C children, are ``ends``,
+    ``_CornerScorer``): a chunk's kept children are its rows to count,
+    counted he rows first, so that its ``terms`` hold their closed and open
+    shares, vol(lo) and vol(hi); its ``gaps`` hold the attained sides and
+    then the bound's two sides, and the bound overwrites vol(hi).  The
+    search's own arrays, allocated then too, are ``ends``,
     the boxes' lo, he and mid (int32, 3 x d x per), ``children``, all their
     children before the empty ones drop and then the kept ones' extents
     (int32, 2 x d x C; at d = 2 the count's int32 scratch, which is free
