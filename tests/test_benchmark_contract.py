@@ -7,6 +7,7 @@ in BENCHMARK.json, so that removing or renaming anything the benchmark uses
 fails here.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -74,3 +75,22 @@ def test_stardisc_3d_estimate_gap_is_pinned():
         assert ok
         gaps.append(gap)
     assert (math.fsum(gaps) / len(gaps)).hex() == "0x1.40040d3f0df8cp-9"
+
+
+def test_prob_verify_sweep_bytes_are_pinned():
+    # One sweep of 277 checks at seed 1, hashed as run.py hashes it: each
+    # unit's check lines, then finish's.  This is run.py's --seconds 0
+    # digest, so any change to a reported probability shows here.
+    workload = workloads.WORKLOADS["prob-verify"](1)
+    assert workload.units_per_round == 277
+    workload.round_start()
+    digest = hashlib.sha256()
+    for i in range(workload.units_per_round):
+        ok, lines, _ = workload.check(i, workload.unit(i))
+        assert ok
+        digest.update(("\n".join(lines) + "\n").encode())
+    ok, lines = workload.finish()
+    assert ok
+    digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == (
+        "cebef476647ee27e8e956791c482e4fc33e7980d5beef6b8efee74386bb5d243")
