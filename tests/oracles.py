@@ -19,6 +19,12 @@ grid lines through the best corners before drawing random ones, and it
 counts a block of boxes against all the points at once (``box_counts``,
 which the oracle tests check against the library's direct counts).  The
 block-scoring estimator must return the same value and box.
+
+The float probability kernels are the library's earlier per-mass ones,
+kept verbatim: ``log_choose`` summing two lists of logs, the binomial mass
+taking the logs of p and 1 - p at every k, and the hypergeometric mass
+finding its support and log C(N, n) at every k.  The per-law mass
+functions that replaced them must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -395,6 +401,39 @@ def witness_bound_frac(coords: np.ndarray, upper: Sequence[float]) -> Fraction:
     """The witness lower bound of the box [0, upper) in rationals:
     max(excess, 0) / N."""
     return max(box_excess_frac(coords, upper), Fraction(0)) / len(coords)
+
+
+def reference_log_choose(n: int, k: int) -> float:
+    """log C(n, k) as the exactly-rounded sum of two lists of logs."""
+    if k < 0 or n < 0 or k > n:
+        raise ValueError(f"log_choose needs 0 <= k <= n, got n={n}, k={k}")
+    m = min(k, n - k)
+    terms = [math.log(n - m + i) for i in range(1, m + 1)]
+    terms += [-math.log(i) for i in range(2, m + 1)]
+    return math.fsum(terms)
+
+
+def reference_binom_mass(n: int, p: float, k: int) -> float:
+    """Mass of B(n, p) at k, for a domain already checked."""
+    if k < 0 or k > n:
+        return 0.0
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    return math.exp(reference_log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def reference_hypergeom_mass(n_total: int, n_white: int, n_draws: int, k: int) -> float:
+    """Mass of H(N, W, n) at k, for a domain already checked."""
+    lo, hi = max(0, n_draws - (n_total - n_white)), min(n_draws, n_white)
+    if k < lo or k > hi:
+        return 0.0
+    return math.exp(
+        reference_log_choose(n_white, k)
+        + reference_log_choose(n_total - n_white, n_draws - k)
+        - reference_log_choose(n_total, n_draws)
+    )
 
 
 def binom_pmf_frac(n: int, p: Fraction, k: int) -> Fraction:

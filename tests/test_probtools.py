@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,9 @@ from oracles import (
     binom_cdf_frac,
     binom_pmf_frac,
     hypergeom_pmf_frac,
+    reference_binom_mass,
+    reference_hypergeom_mass,
+    reference_log_choose,
     tv_by_subset_enumeration,
     tv_frac,
     witness_shrinks_frac,
@@ -64,6 +68,16 @@ class TestLogChoose:
             log_choose(3, 4)
         with pytest.raises(DomainError):
             log_choose(3, -1)
+
+    def test_bit_equal_to_the_list_kernel_at_every_k_up_to_300(self):
+        for n in range(301):
+            for k in range(n + 1):
+                assert log_choose(n, k).hex() == reference_log_choose(n, k).hex(), (n, k)
+
+    @pytest.mark.parametrize("n,k", [(40000, 20000), (22000, 11000), (30000, 12000),
+                                     (10**6, 20000), (10**5, 50000)])
+    def test_bit_equal_to_the_list_kernel_at_large_sizes(self, n, k):
+        assert log_choose(n, k).hex() == reference_log_choose(n, k).hex()
 
 
 class TestBinomial:
@@ -140,6 +154,61 @@ class TestHypergeometric:
             hypergeom_cdf(*args, 0)
         with pytest.raises(DomainError):
             hypergeom_distribution(*args)
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestMassesBitEqualToThePerMassKernels:
+    # Every mass of the pmf, cdf and distribution of both laws, against the
+    # earlier per-mass kernels of the oracles; the cdf sums those masses with
+    # the library's unchanged nearest-tail rule.  The grids take in p = 0 and
+    # 1, p = 1.0/n, supports clipped at one end or both, and k one step
+    # outside 0..n.
+    @pytest.mark.parametrize("n,p", [
+        (n, p) for n in (0, 1, 2, 7, 16, 60, 257)
+        for p in (0.0, 1.0, 0.25, 0.5, 0.1, 3 / 5, 1 / 80)
+    ] + [(n, 1.0 / n) for n in (1, 7, 17, 60, 257)])
+    def test_binomial(self, n, p):
+        ks = range(-1, n + 2)
+        ref = [reference_binom_mass(n, p, k) for k in ks]
+        assert _hexes(binom_pmf(n, p, k) for k in ks) == _hexes(ref)
+        mass = functools.partial(reference_binom_mass, n, p)
+        assert (_hexes(binom_cdf(n, p, k) for k in ks)
+                == _hexes(probtools._nearest_tail_cdf(mass, 0, n, k) for k in ks))
+        dist = binom_distribution(n, p)
+        assert dist.offset == 0
+        assert _hexes(dist.probs) == _hexes(ref[1:-1])
+
+    @pytest.mark.parametrize("args", [
+        (10, 4, 8), (10, 3, 5), (10, 8, 4), (8, 8, 3), (5, 0, 3), (5, 2, 0), (10, 5, 1),
+        (60, 20, 30), (37, 11, 25), (500, 50, 12), (200, 60, 50),
+    ])
+    def test_hypergeometric(self, args):
+        n_total, n_white, n_draws = args
+        lo, hi = max(0, n_draws - (n_total - n_white)), min(n_draws, n_white)
+        ks = range(-1, n_draws + 2)
+        ref = [reference_hypergeom_mass(*args, k) for k in ks]
+        assert _hexes(hypergeom_pmf(*args, k) for k in ks) == _hexes(ref)
+        mass = functools.partial(reference_hypergeom_mass, *args)
+        assert (_hexes(hypergeom_cdf(*args, k) for k in ks)
+                == _hexes(probtools._nearest_tail_cdf(mass, lo, hi, k) for k in ks))
+        dist = hypergeom_distribution(*args)
+        assert dist.offset == lo
+        assert _hexes(dist.probs) == _hexes(ref[lo + 1 : hi + 2])
+
+    @pytest.mark.parametrize("func,args", [
+        (binom_pmf, (-1, 0.5, 0)), (binom_pmf, (5, math.nan, 0)), (binom_pmf, (5, 1.5, 6)),
+        (binom_cdf, (5, -0.25, 2)), (binom_cdf, (5, math.nan, 2)),
+        (binom_distribution, (-1, 0.5)), (binom_distribution, (5, 1.5)),
+        (hypergeom_pmf, (5, 6, 2, 1)), (hypergeom_pmf, (5, 3, 10, -1)),
+        (hypergeom_cdf, (5, -1, 3, 0)), (hypergeom_cdf, (5, 3, -1, 0)),
+        (hypergeom_distribution, (5, 10, 3)), (hypergeom_distribution, (5, 3, 6)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_domain_error(self, func, args):
+        with pytest.raises(DomainError):
+            func(*args)
 
 
 class TestDistributionsAndTV:
