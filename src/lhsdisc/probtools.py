@@ -17,8 +17,11 @@ construction relies on:
 
 All probability masses are computed in log space with a single
 exponentiation per value, which stays finite at large parameters; CDFs
-are direct sums from the nearest tail, clamped to [0, 1].  Every log
-binomial coefficient, at every size, is one exactly-rounded sum of logs
+are direct sums from the nearest tail, clamped to [0, 1].  Each law is
+one mass function, built once per call: it checks the domain and holds
+the law's constants (log p and log(1-p) for B(n, p); the support, N - W
+and log C(N, n) for H(N, W, n)).  Every log binomial coefficient, at
+every size, is one exactly-rounded sum over two lazy streams of logs
 (``log_choose``), so H(22000, 11000, 10500) sums to 1 within the mass
 slack.  The lemma 4 and theorem 5 tail cut-offs are exact for their
 binary64 inputs.
@@ -27,7 +30,9 @@ binary64 inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -112,43 +117,45 @@ class CheckReport:
 def log_choose(n: int, k: int) -> float:
     """log of the binomial coefficient C(n, k).
 
-    One rule for every size, m = min(k, n-k): the exactly-rounded sum
-    (math.fsum) of the logs of n-m+1, ..., n and minus the logs of
-    2, ..., m; no terms (m <= 1 drops the second list) sum to 0.0.  A
-    difference of log-gammas would cancel: at log C(40000, 20000), about
-    27720, lgamma's relative error near 1e-15 is an absolute error near
-    2e-11, past the probability checks' 1e-12 mass slack.  Against a
-    correctly rounded reference the sum was 0 ulps off at (40000, 20000),
-    (22000, 11000), (30000, 12000), (10**6, 20000) and (10**5, 50000).
+    One rule for every size, m = min(k, n-k): one exactly-rounded sum
+    (math.fsum) over two lazy streams, the logs of n-m+1, ..., n and
+    minus the logs of 2, ..., m; no terms (m <= 1 leaves the second
+    stream empty) sum to 0.0.  fsum rounds once, so the order of the
+    terms does not change the result.  A difference of log-gammas would
+    cancel: at log C(40000, 20000), about 27720, lgamma's relative error
+    near 1e-15 is an absolute error near 2e-11, past the probability
+    checks' 1e-12 mass slack.  Against a correctly rounded reference the
+    sum was 0 ulps off at (40000, 20000), (22000, 11000), (30000, 12000),
+    (10**6, 20000) and (10**5, 50000).
     """
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"log_choose needs 0 <= k <= n, got n={n}, k={k}")
     m = min(k, n - k)
-    terms = [math.log(n - m + i) for i in range(1, m + 1)]
-    terms += [-math.log(i) for i in range(2, m + 1)]
-    return math.fsum(terms)
+    return math.fsum(itertools.chain(map(math.log, range(n - m + 1, n + 1)),
+                                     map(operator.neg, map(math.log, range(2, m + 1)))))
 
 
-def _binom_domain(n: int, p: float) -> None:
-    """Checks the domain of B(n, p)."""
+def _binom_law(n: int, p: float) -> Callable[[int], float]:
+    """The mass function of B(n, p); checks the domain and takes the logs
+    of p and 1 - p once."""
     if n < 0 or not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial law needs n >= 0 and p in [0,1], got n={n}, p={p}")
-
-
-def _binom_mass(n: int, p: float, k: int) -> float:
-    """Mass of B(n, p) at k, for a domain already checked."""
-    if k < 0 or k > n:
-        return 0.0
     if p == 0.0:
-        return 1.0 if k == 0 else 0.0
+        return lambda k: 1.0 if k == 0 else 0.0
     if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
+        return lambda k: 1.0 if k == n else 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def mass(k: int) -> float:
+        if k < 0 or k > n:
+            return 0.0
+        return math.exp(log_choose(n, k) + k * log_p + (n - k) * log_q)
+
+    return mass
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:
-    _binom_domain(n, p)
-    return _binom_mass(n, p, k)
+    return _binom_law(n, p)(k)
 
 
 def _nearest_tail_cdf(mass: Callable[[int], float], lo: int, hi: int, k: int) -> float:
@@ -165,46 +172,46 @@ def _nearest_tail_cdf(mass: Callable[[int], float], lo: int, hi: int, k: int) ->
 
 
 def binom_cdf(n: int, p: float, k: int) -> float:
-    _binom_domain(n, p)
-    return _nearest_tail_cdf(functools.partial(_binom_mass, n, p), 0, n, k)
+    return _nearest_tail_cdf(_binom_law(n, p), 0, n, k)
 
 
-def _hyper_support(n_total: int, n_white: int, n_draws: int) -> tuple[int, int]:
-    """Smallest and largest white count of H(N, W, n); checks the domain."""
+def _hypergeom_law(n_total: int, n_white: int, n_draws: int
+                   ) -> tuple[int, int, Callable[[int], float]]:
+    """Support lo..hi and mass function of H(N, W, n); checks the domain
+    and takes N - W and log C(N, n) once."""
     if not (0 <= n_white <= n_total and 0 <= n_draws <= n_total):
         raise DomainError(
             f"hypergeometric law needs 0 <= W, n <= N, got N={n_total}, W={n_white}, n={n_draws}"
         )
-    return max(0, n_draws - (n_total - n_white)), min(n_draws, n_white)
+    n_black = n_total - n_white
+    lo, hi = max(0, n_draws - n_black), min(n_draws, n_white)
+    log_all = log_choose(n_total, n_draws)
+
+    def mass(k: int) -> float:
+        if k < lo or k > hi:
+            return 0.0
+        return math.exp(log_choose(n_white, k) + log_choose(n_black, n_draws - k) - log_all)
+
+    return lo, hi, mass
 
 
 def hypergeom_pmf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
     """Mass of k white balls when drawing n without replacement from N with W white."""
-    lo, hi = _hyper_support(n_total, n_white, n_draws)
-    if k < lo or k > hi:
-        return 0.0
-    return math.exp(
-        log_choose(n_white, k)
-        + log_choose(n_total - n_white, n_draws - k)
-        - log_choose(n_total, n_draws)
-    )
+    return _hypergeom_law(n_total, n_white, n_draws)[2](k)
 
 
 def hypergeom_cdf(n_total: int, n_white: int, n_draws: int, k: int) -> float:
-    lo, hi = _hyper_support(n_total, n_white, n_draws)
-    return _nearest_tail_cdf(functools.partial(hypergeom_pmf, n_total, n_white, n_draws),
-                             lo, hi, k)
+    lo, hi, mass = _hypergeom_law(n_total, n_white, n_draws)
+    return _nearest_tail_cdf(mass, lo, hi, k)
 
 
 def binom_distribution(n: int, p: float) -> DiscreteDistribution:
-    _binom_domain(n, p)
-    return DiscreteDistribution(0, np.array([_binom_mass(n, p, k) for k in range(n + 1)]))
+    return DiscreteDistribution(0, np.array(list(map(_binom_law(n, p), range(n + 1)))))
 
 
 def hypergeom_distribution(n_total: int, n_white: int, n_draws: int) -> DiscreteDistribution:
-    lo, hi = _hyper_support(n_total, n_white, n_draws)
-    probs = np.array([hypergeom_pmf(n_total, n_white, n_draws, k) for k in range(lo, hi + 1)])
-    return DiscreteDistribution(lo, probs)
+    lo, hi, mass = _hypergeom_law(n_total, n_white, n_draws)
+    return DiscreteDistribution(lo, np.array(list(map(mass, range(lo, hi + 1)))))
 
 
 def tv_distance(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
