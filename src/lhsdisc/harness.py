@@ -294,9 +294,15 @@ def verify_theorem1(config: ExperimentConfig,
     For each c with a positive exponent, requires the empirical frequency
     of {D* <= c sqrt(d/N)} to clear the reference minus three standard
     errors (plus a 1/trials cushion); other c are reported not-applicable.
+    Needs an exact method: a lower bound at or below the threshold does
+    not put D* there, so the estimate is refused before any trial runs.
     """
     if config.kind != "lhs":
         raise PreconditionViolated("tail reference applies to Latin hypercube samples")
+    if config.method not in ("exact", "exact2d"):
+        raise PreconditionViolated(
+            f"the tail frequency needs D* itself; method {config.method!r} gives a lower bound"
+        )
     if records is None:
         records = run_trials(config)
     summary = summarize(records, config)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lhsdisc import harness
 from lhsdisc.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -250,6 +251,22 @@ class TestVerify:
         config = small_config(kind="uniform")
         with pytest.raises(PreconditionViolated):
             verify_theorem1(config)
+
+    def test_theorem1_refuses_lower_bounds(self, monkeypatch):
+        # Lower bounds at or below c sqrt(d/N) would count as D* there: this
+        # config passed with frequency 1.0 at both c when the estimate was
+        # accepted.  The refusal comes before any trial runs.
+        config = ExperimentConfig(kind="lhs", N=6400, d=4, trials=5, master_seed=1,
+                                  c_values=(2.65, 3.0), method="estimate")
+
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trials", no_trials)
+        with pytest.raises(PreconditionViolated, match="lower bound"):
+            verify_theorem1(config)
+        with pytest.raises(PreconditionViolated, match="lower bound"):
+            verify_theorem1(config, [])
 
     def test_theorem2_small_run(self):
         config = small_config(N=3200, d=2, trials=10, method="estimate",
