@@ -108,9 +108,9 @@ class TestBinomial:
                 exact = float(binom_cdf_frac(n, p, k))
                 assert binom_cdf(n, 0.25, k) == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("args", [(-1, 0.5), (5, -0.25), (5, 1.5)])
+    @pytest.mark.parametrize("args", [(-1, 0.5), (5, -0.25), (5, 1.5), (5, math.nan)])
     def test_domain_checked_by_every_function(self, args):
-        # n < 0 and p outside [0, 1] have no binomial law.
+        # n < 0 and p outside [0, 1] (or NaN) have no binomial law.
         with pytest.raises(DomainError, match="binomial law"):
             binom_pmf(*args, 0)
         with pytest.raises(DomainError, match="binomial law"):
@@ -197,18 +197,6 @@ class TestMassesBitEqualToThePerMassKernels:
         dist = hypergeom_distribution(*args)
         assert dist.offset == lo
         assert _hexes(dist.probs) == _hexes(ref[lo + 1 : hi + 2])
-
-    @pytest.mark.parametrize("func,args", [
-        (binom_pmf, (-1, 0.5, 0)), (binom_pmf, (5, math.nan, 0)), (binom_pmf, (5, 1.5, 6)),
-        (binom_cdf, (5, -0.25, 2)), (binom_cdf, (5, math.nan, 2)),
-        (binom_distribution, (-1, 0.5)), (binom_distribution, (5, 1.5)),
-        (hypergeom_pmf, (5, 6, 2, 1)), (hypergeom_pmf, (5, 3, 10, -1)),
-        (hypergeom_cdf, (5, -1, 3, 0)), (hypergeom_cdf, (5, 3, -1, 0)),
-        (hypergeom_distribution, (5, 10, 3)), (hypergeom_distribution, (5, 3, 6)),
-    ], ids=lambda v: getattr(v, "__name__", None))
-    def test_domain_error(self, func, args):
-        with pytest.raises(DomainError):
-            func(*args)
 
 
 class TestDistributionsAndTV:
